@@ -12,8 +12,7 @@ __version__ = "0.1.0"
 
 from .control import (DD_TOL, ControlSchedule, DDReport, FourierTable,
                       SystemModel, check_dd, cosine_profile,
-                      effective_dynamics, fourier_modes,
-                      fourier_series_profile, q_of_t,
+                      effective_dynamics, fourier_modes, q_of_t,
                       qka_bangbang_closed_form, tune_amplitude, vc_at)
 from .errors import (ArgumentError, ConfigError, DecouplingViolationError,
                      NumericError, ResourceError, TuneSearchError,

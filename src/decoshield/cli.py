@@ -209,6 +209,13 @@ def main(argv=None) -> int:
         return EXIT_DD
     except (NumericError, TuneSearchError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        if isinstance(exc, TuneSearchError) and exc.scan:
+            print("scan (mu, surrogate):", file=sys.stderr)
+            for mu, val in exc.scan:
+                print(f"  {mu:.12g}, {val:.12g}", file=sys.stderr)
+        if isinstance(exc, NumericError):
+            for key, val in exc.diagnostics.items():
+                print(f"  {key} = {val}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

@@ -111,9 +111,6 @@ class SpectralFunction:
         out = np.maximum(out, 0.0)
         return float(out[0]) if scalar else out
 
-    def derivative(self, p, h=1e-6):
-        return (self(p + h) - self(p - h)) / (2 * h)
-
 
 def spectral_function(ff: FormFactor, support_tol: float = 1e-16,
                       p_scan_max: float = 200.0) -> SpectralFunction:

@@ -21,9 +21,9 @@ from typing import Optional
 
 import numpy as np
 
-from .control import ControlSchedule, SystemModel, effective_dynamics, _validate_state
+from .control import (ControlSchedule, SystemModel, _validate_state,
+                      commutation_defect, effective_dynamics)
 from .errors import ArgumentError, NumericError, ResourceError
-from .operators import operator_norm
 from .reservoir import ModeSet
 
 __all__ = [
@@ -75,11 +75,9 @@ class TotalModel:
         if self.dim_total > DIMENSION_GUARD:
             raise ResourceError(
                 f"total dimension {self.dim_total} exceeds guard {DIMENSION_GUARD}")
-        if self.schedule is not None:
-            comm = (self.system.h_s @ self.schedule.h_dir
-                    - self.schedule.h_dir @ self.system.h_s)
-            if operator_norm(comm) > 1e-10:
-                raise ArgumentError("control direction must commute with H_s")
+        if (self.schedule is not None
+                and commutation_defect(self.system, self.schedule) > 1e-10):
+            raise ArgumentError("control direction must commute with H_s")
 
     @property
     def n_modes(self) -> int:

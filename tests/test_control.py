@@ -101,6 +101,34 @@ class TestCheckDD:
         assert report.passed
         assert report.residual_passed
 
+    def test_residual_on_non_periodic_schedule(self):
+        # kappa = 1 + cos(2 pi x) has nonzero mean, so Q(t) is not periodic
+        # and the window integral depends on where the window starts
+        import scipy.integrate
+
+        period, mu = 0.3, 1.3
+        sched = ControlSchedule.smooth(
+            period, mu, np.diag([1.0, -1.0]),
+            lambda x: 1 + np.cos(2 * np.pi * x),
+            lambda x: x + np.sin(2 * np.pi * x) / (2 * np.pi))
+        report = check_dd(SystemModel.qubit(), sched)
+        assert report.periodicity_defect > 0.1
+
+        def window(t0):
+            # Q(s)[0, 1] = exp(-2 i phi(s)) with the unwrapped phase
+            def entry(s):
+                x = s / period
+                return np.exp(-2j * mu * (x + np.sin(2 * np.pi * x) / (2 * np.pi)))
+
+            val, _ = scipy.integrate.quad(entry, t0, t0 + period,
+                                          epsabs=1e-13, complex_func=True)
+            return abs(val) / period
+
+        windows = [window(t0) for t0 in
+                   np.linspace(0.0, period, 16, endpoint=False)]
+        assert max(windows) - min(windows) > 0.1
+        assert report.residual == pytest.approx(max(windows), abs=1e-9)
+
 
 class TestEquivalenceOfFormulations:
     def test_ten_random_schedules(self):
@@ -236,6 +264,18 @@ class TestBangBangClosedForm:
                     total += re + 1j * im
                 idx = (0, 1) if a == -1 else (1, 0)
                 assert closed[idx] == pytest.approx(total, abs=2e-10)
+
+    def test_fourier_ladder_matches_jump_formula(self):
+        model = SystemModel.qubit()
+        three_kick = ControlSchedule.bangbang(1.0, [0.15, 0.4, 0.8],
+                                              [0.7, -1.9, 1.2])
+        for sched in (two_kick(), three_kick):
+            table = fourier_modes(model, sched)
+            assert table.cutoff == 64
+            for k in [*range(-64, 0), *range(1, 65)]:
+                for a in (-1, +1):
+                    closed = qka_bangbang_closed_form(model, sched, k, a)
+                    assert operator_norm(table.ladder[(k, a)] - closed) < 1e-12
 
     def test_inverse_k_scaling_on_support(self):
         model = SystemModel.qubit()

@@ -224,6 +224,32 @@ class TestCli:
         out = capsys.readouterr().out
         assert abs(float(out.split("=")[1]) - MU_STAR) < 1e-6
 
+    def test_tune_mu_failure_prints_scan(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path,
+                                small_doc(output_dir=str(tmp_path / "o")))
+        assert cli_main(["tune-mu", "--config", cfg,
+                         "--bracket", "0.1", "1.0"]) == 3
+        err = capsys.readouterr().err
+        assert "scan (mu, surrogate)" in err
+        pairs = [line for line in err.splitlines() if line.startswith("  ")]
+        assert len(pairs) == 33
+        assert pairs[0].startswith("  0.1, ")
+        assert pairs[-1].startswith("  1, ")
+
+    def test_numeric_failure_prints_diagnostics(self, tmp_path, capsys,
+                                                monkeypatch):
+        import decoshield.cli
+        from decoshield.errors import NumericError
+
+        def fail(args, cfg):
+            raise NumericError("trace drift exceeded bound",
+                               diagnostics={"drift": 0.25})
+
+        monkeypatch.setitem(decoshield.cli._COMMANDS, "check-dd", fail)
+        cfg = self.write_config(tmp_path, small_doc())
+        assert cli_main(["check-dd", "--config", cfg]) == 3
+        assert "drift = 0.25" in capsys.readouterr().err
+
     def test_rates_requires_decoupling(self, tmp_path):
         doc = small_doc(**{"schedule.mu": 1.0, "require_dd": False})
         cfg = self.write_config(tmp_path, doc)
