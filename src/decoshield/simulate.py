@@ -2,11 +2,12 @@
 
 The reservoir is a Jordan-Wigner chain of N fermionic modes in a thermal
 product state. The total Hamiltonian is T-periodic, so long horizons are
-reached through the one-period propagator (monodromy): it is built once
+reached through the one-period propagator (monodromy) U_T, built once
 with a fine-grained Strang splitting whose diagonal factor (system,
-control and mode energies) is integrated exactly, and then applied once
-per period. Piecewise-constant (kick) schedules and the uncontrolled
-baseline use exact segment exponentials instead of splitting.
+control and mode energies) is integrated exactly, or from exact segment
+exponentials for kick schedules. Its complex Schur form gives every power
+U_T^n = W lambda^n W^dagger (Floquet form); the uncontrolled baseline is
+sampled the same way in the eigenbasis of the static Hamiltonian.
 
 The thermal average is exact: one pure state per reservoir occupation
 bitstring, weighted by its Fermi-Dirac product probability (a seeded
@@ -20,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 
 from .control import (ControlSchedule, SystemModel, _validate_state,
                       commutation_defect, effective_dynamics)
@@ -106,15 +108,14 @@ class TotalModel:
 
 
 def build_total_generator(tm: TotalModel, t: float) -> np.ndarray:
-    """Dense H(t) = H_s + H_c(t) + H_R + lam Q Phi on the full space."""
+    """Dense H(t) = H_s + H_R + lam Q Phi, plus H_c(t) for smooth schedules."""
     d = tm.system.dim
     nr = 2**tm.n_modes
-    eye_r = np.eye(nr)
-    h = np.kron(tm.system.h_s, eye_r)
-    if tm.schedule is not None and tm.schedule.kind == "smooth":
-        h = h + np.kron(tm.schedule.h_c(t), eye_r)
+    h = np.kron(tm.system.h_s, np.eye(nr))
     h = h + np.kron(np.eye(d), np.diag(tm.reservoir_hamiltonian_diagonal()))
     h = h + tm.lam * np.kron(tm.system.q, tm.field_operator())
+    if tm.schedule is not None and tm.schedule.kind == "smooth":
+        h = h + np.kron(tm.schedule.h_c(t), np.eye(nr))
     return h
 
 
@@ -142,13 +143,6 @@ class Trajectory:
     def coherence(self, m: int, n: int) -> np.ndarray:
         return np.array([abs(r[m, n]) for r in self.reduced_states])
 
-    def retention(self, m: int = 0, n: int = 1) -> np.ndarray:
-        c = self.coherence(m, n)
-        c0 = c[0]
-        if c0 == 0:
-            raise ArgumentError(f"initial state has no ({m},{n}) coherence")
-        return c / c0
-
 
 def _co_diagonalize(h_s, h_dir):
     """Joint eigenbasis of two commuting Hermitian matrices."""
@@ -174,10 +168,7 @@ class _SplitStepper:
         self.tm = tm
         self.step = step
         self.d = tm.system.dim
-        self.nr = 2**tm.n_modes
-        es, edir, v = _co_diagonalize(tm.system.h_s, tm.schedule.h_dir
-                                      if tm.schedule is not None
-                                      else np.zeros_like(tm.system.h_s))
+        es, edir, v = _co_diagonalize(tm.system.h_s, tm.schedule.h_dir)
         self.sys_basis = v
         self.es = es
         self.edir = edir
@@ -201,9 +192,9 @@ class _SplitStepper:
         """One Strang step on psi shaped (d, 2^N, K), in the joint eigenbasis."""
         sched = self.tm.schedule
         h = self.step
-        phi0 = float(sched.phase(t)) if sched is not None else 0.0
-        phi1 = float(sched.phase(t + 0.5 * h)) if sched is not None else 0.0
-        phi2 = float(sched.phase(t + h)) if sched is not None else 0.0
+        phi0 = float(sched.phase(t))
+        phi1 = float(sched.phase(t + 0.5 * h))
+        phi2 = float(sched.phase(t + h))
         psi = psi * self.diag_phases(0.5 * h, phi1 - phi0)[:, :, None]
         rot = np.einsum("ij,jbk->ibk", self.qv.conj().T, psi)
         for i in range(self.d):
@@ -225,7 +216,7 @@ def _build_smooth_propagators(tm, offsets, substeps):
     marks = sorted(set([float(r) for r in offsets if 0.0 < r < T]))
     bounds = [0.0] + marks + [T]
     u = np.eye(dim, dtype=complex).reshape(d, nr, dim)
-    props = {0.0: np.eye(dim, dtype=complex)}
+    props = {}
     steppers = {}
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         seg = hi - lo
@@ -251,8 +242,7 @@ def _build_piecewise_propagators(tm, offsets):
     T = tm.schedule.period
     d, nr = tm.system.dim, 2**tm.n_modes
     dim = d * nr
-    h_const = _constant_hamiltonian(tm)
-    w, v = np.linalg.eigh(h_const)
+    w, v = np.linalg.eigh(build_total_generator(tm, 0.0))
 
     def free(tau):
         return (v * np.exp(-1j * tau * w)) @ v.conj().T
@@ -268,7 +258,7 @@ def _build_piecewise_propagators(tm, offsets):
               zip(tm.schedule.kick_phases, tm.schedule.kick_weights)]
     marks = sorted(set([float(r) for r in offsets if 0.0 < r < T]))
 
-    props = {0.0: np.eye(dim, dtype=complex)}
+    props = {}
     u = np.eye(dim, dtype=complex)
     t_cur = 0.0
     points = sorted(set([t for t, _ in events] + marks + [T]))
@@ -282,14 +272,6 @@ def _build_piecewise_propagators(tm, offsets):
         if t_next in marks:
             props[t_next] = u.copy()
     return props, u
-
-
-def _constant_hamiltonian(tm: TotalModel) -> np.ndarray:
-    d, nr = tm.system.dim, 2**tm.n_modes
-    h = np.kron(tm.system.h_s, np.eye(nr))
-    h = h + np.kron(np.eye(d), np.diag(tm.reservoir_hamiltonian_diagonal()))
-    h = h + tm.lam * np.kron(tm.system.q, tm.field_operator())
-    return h
 
 
 def _initial_ensemble(tm, rho_s0, rng_seed, max_dense, n_samples):
@@ -336,15 +318,16 @@ def evolve(tm: TotalModel, rho_s0, t_final: float, sample_dt: float,
     """Propagate the joint state and sample the reduced density matrix.
 
     The initial total state is rho_s0 tensor the thermal reservoir state.
-    Periodic schedules advance by monodromy powers; sample times that are
-    not period multiples go through cached intra-period propagators.
+    Every sample t = nT + r is (F_r W) exp(-i eps s) W^dagger psi_0, F_r
+    the cached intra-period propagator: driven runs take W and
+    eps = i log(lambda) / T from the Schur form of the monodromy and
+    s = nT, undriven runs the eigenbasis of the static Hamiltonian, s = t.
     """
     rho_s0 = np.asarray(rho_s0, dtype=complex)
     _validate_state(rho_s0)
     if not sample_dt > 0 or t_final < 0:
         raise ArgumentError("need t_final >= 0 and sample_dt > 0")
     d, nr = tm.system.dim, 2**tm.n_modes
-    dim = d * nr
 
     times = np.round(np.arange(0.0, t_final + 0.5 * sample_dt, sample_dt), 12)
     psi = _initial_ensemble(tm, rho_s0, rng_seed, max_dense_ensemble,
@@ -354,39 +337,40 @@ def evolve(tm: TotalModel, rho_s0, t_final: float, sample_dt: float,
     driven = tm.schedule is not None and not (
         tm.schedule.kind == "smooth" and tm.schedule.mu == 0.0)
 
-    states = []
-    if not driven:
-        h_const = _constant_hamiltonian(tm)
-        w, v = np.linalg.eigh(h_const)
-        psi_e = v.conj().T @ psi
-        for t in times:
-            cur = v @ (np.exp(-1j * t * w)[:, None] * psi_e)
-            states.append(_reduced(cur, d, nr))
-        final = v @ (np.exp(-1j * times[-1] * w)[:, None] * psi_e)
-    else:
+    if driven:
         T = tm.schedule.period
-        idx_period = np.floor(times / T + 1e-9).astype(int)
-        offsets = np.round(times - idx_period * T, 12)
-        offsets[np.abs(offsets - T) < 1e-9] = 0.0
-        uniq = sorted(set(float(r) for r in offsets if r > 0.0))
+        periods = np.floor(times / T + 1e-9).astype(int)
+        offsets = np.round(times - periods * T, 12)
+        wrapped = np.abs(offsets - T) < 1e-9
+        periods[wrapped] += 1
+        offsets[wrapped] = 0.0
         if tm.schedule.kind == "bangbang":
-            frags, u_T = _build_piecewise_propagators(tm, uniq)
+            frags, u_T = _build_piecewise_propagators(tm, offsets)
         else:
-            frags, u_T = _build_smooth_propagators(tm, uniq,
+            frags, u_T = _build_smooth_propagators(tm, offsets,
                                                    substeps_per_period)
-        cur = psi
-        n_cur = 0
-        order = np.argsort(times)
-        states_map = {}
-        for i in order:
-            n_i, r_i = int(idx_period[i]), float(offsets[i])
-            while n_cur < n_i:
-                cur = u_T @ cur
-                n_cur += 1
-            sampled = frags[r_i] @ cur if r_i > 0.0 else cur
-            states_map[i] = _reduced(sampled, d, nr)
-        states = [states_map[i] for i in range(len(times))]
-        final = cur
+        schur, w = scipy.linalg.schur(u_T, output="complex")
+        off_diagonal = float(np.max(np.abs(np.triu(schur, 1))))
+        if off_diagonal > 1e-10:
+            raise NumericError("monodromy is not normal",
+                               diagnostics={"off_diagonal": off_diagonal})
+        # complex log: |lambda|^n is kept, so a non-unitary U_T shows below
+        eps = 1j * np.log(np.diag(schur)) / T
+        shifts = periods * T
+        for r in frags:
+            frags[r] = frags[r] @ w
+    else:
+        eps, w = np.linalg.eigh(build_total_generator(tm, 0.0))
+        shifts, offsets, frags = times, np.zeros_like(times), {}
+
+    psi_e = w.conj().T @ psi
+
+    def advance(s, basis=w):
+        return basis @ (np.exp(-1j * s * eps)[:, None] * psi_e)
+
+    states = [_reduced(advance(s, frags[r] if r > 0.0 else w), d, nr)
+              for s, r in zip(shifts, offsets)]
+    final = advance(shifts.max())
 
     norms1 = np.sum(np.abs(final) ** 2)
     trace_defect = abs(norms1 - norms0)

@@ -3,8 +3,10 @@ import pytest
 import scipy.linalg
 
 from decoshield.control import ControlSchedule, SystemModel, effective_dynamics
-from decoshield.errors import ArgumentError, ResourceError
-from decoshield.operators import operator_norm, partial_trace
+import decoshield.simulate as simulate
+from decoshield.errors import ArgumentError, NumericError, ResourceError
+from decoshield.operators import (operator_norm, ordered_propagator,
+                                  partial_trace)
 from decoshield.reservoir import make_form_factor, spectral_function, \
     discretize_modes
 from decoshield.simulate import (TotalModel, build_total_generator,
@@ -128,7 +130,6 @@ class TestEvolve:
         tm = TotalModel(SystemModel.qubit(), modes, 0.3, sched)
         traj = evolve(tm, plus_state(), 1.0, 0.2, substeps_per_period=4096)
         rho_full = np.kron(plus_state(), thermal_reservoir_state(modes))
-        from decoshield.operators import ordered_propagator
         for i, t in enumerate(traj.times):
             if t == 0.0:
                 continue
@@ -143,7 +144,6 @@ class TestEvolve:
         sched = ControlSchedule.bangbang(0.5, [0.25, 0.75],
                                          [np.pi / 2, -np.pi / 2])
         tm = TotalModel(SystemModel.qubit(), modes, 0.2, sched)
-        traj = evolve(tm, plus_state(), 1.5, 0.25)
         h = build_total_generator(tm, 0.0)
         kick_up = np.kron(scipy.linalg.expm(1j * (np.pi / 2)
                                             * np.diag([1.0, -1.0])),
@@ -169,10 +169,71 @@ class TestEvolve:
                 prev = tk
             return scipy.linalg.expm(-1j * (t - prev) * h) @ u
 
-        for i, t in enumerate(traj.times):
-            u = propagate(float(t))
-            ref = partial_trace(u @ rho_full @ u.conj().T, [2, 4], [0])
-            assert trace_distance(traj.reduced_states[i], ref) < 1e-10
+        # the second input reaches 124 periods through the monodromy power
+        for t_final, sample_dt in ((1.5, 0.25), (62.0, 7.75)):
+            traj = evolve(tm, plus_state(), t_final, sample_dt)
+            for i, t in enumerate(traj.times):
+                u = propagate(float(t))
+                ref = partial_trace(u @ rho_full @ u.conj().T, [2, 4], [0])
+                assert trace_distance(traj.reduced_states[i], ref) < 1e-10
+
+    def test_smooth_fragments_against_ordered_propagator(self, reservoir):
+        # sample_dt = 2T/3 puts most samples inside a period
+        ff, sf = reservoir
+        modes = modeset(sf, ff, 1)
+        sched = ControlSchedule.sinusoidal(0.3, MU_STAR)
+        tm = TotalModel(SystemModel.qubit(), modes, 0.3, sched)
+        traj = evolve(tm, plus_state(), 1.0, 0.2, substeps_per_period=4096)
+        rho_full = np.kron(plus_state(), thermal_reservoir_state(modes))
+        u = np.eye(4, dtype=complex)
+        for i in range(1, len(traj.times)):
+            u = ordered_propagator(lambda s: build_total_generator(tm, s),
+                                   float(traj.times[i - 1]),
+                                   float(traj.times[i]), step=2e-4) @ u
+            ref = partial_trace(u @ rho_full @ u.conj().T, [2, 2], [0])
+            assert trace_distance(traj.reduced_states[i], ref) < 1e-8
+
+    def test_sample_snapped_to_period_end_counts_the_period(self, reservoir):
+        # with T = 0.5 + 3.75e-10 the t = 1.0 sample lies within 1e-9 of
+        # 2T and is taken as offset 0 of the third period, not the second
+        ff, sf = reservoir
+        modes = modeset(sf, ff, 2)
+        finals = []
+        for period in (0.5, 0.500000000375):
+            sched = ControlSchedule.bangbang(period, [0.25, 0.75],
+                                             [np.pi / 2, -np.pi / 2])
+            tm = TotalModel(SystemModel.qubit(), modes, 0.3, sched)
+            traj = evolve(tm, plus_state(), 1.0, 0.5)
+            assert traj.times[-1] == 1.0
+            finals.append(traj.reduced_states[-1])
+        assert trace_distance(*finals) < 1e-6
+
+    def test_monodromy_defects_reach_the_checks(self, reservoir,
+                                                monkeypatch):
+        ff, sf = reservoir
+        sched = ControlSchedule.bangbang(0.5, [0.25, 0.75],
+                                         [np.pi / 2, -np.pi / 2])
+        tm = TotalModel(SystemModel.qubit(), modeset(sf, ff, 2), 0.2, sched)
+        build = simulate._build_piecewise_propagators
+
+        def distorted(factor):
+            def patched(tm, offsets):
+                frags, u_t = build(tm, offsets)
+                return frags, u_t @ factor
+            return patched
+
+        # a uniform gain of 1e-9 per period shows as |lambda|^{2n} - 1
+        monkeypatch.setattr(simulate, "_build_piecewise_propagators",
+                            distorted((1 + 1e-9) * np.eye(8)))
+        traj = evolve(tm, plus_state(), 50.0, 5.0)
+        assert traj.trace_defect == pytest.approx((1 + 1e-9) ** 200 - 1,
+                                                  rel=1e-4)
+        # a non-normal monodromy has no exact diagonal Floquet form
+        monkeypatch.setattr(simulate, "_build_piecewise_propagators",
+                            distorted(np.eye(8) + 1e-6 * np.eye(8, k=1)))
+        with pytest.raises(NumericError) as err:
+            evolve(tm, plus_state(), 1.0, 0.5)
+        assert err.value.diagnostics["off_diagonal"] > 1e-10
 
     def test_reservoir_stationary_without_coupling(self, reservoir):
         ff, sf = reservoir
