@@ -8,8 +8,8 @@ predicted decoherence time for the bundled scenario parameters.
 
 import scipy.special
 
-from decoshield.control import ControlSchedule, SystemModel, fourier_modes
-from decoshield.operators import operator_norm
+from decoshield.control import (ControlSchedule, SystemModel, fourier_modes,
+                                operator_norm)
 from decoshield.reservoir import make_form_factor, spectral_function
 from decoshield.weak_coupling import decoherence_time, level_shift
 

@@ -12,17 +12,14 @@ __version__ = "0.1.0"
 
 from .control import (DD_TOL, ControlSchedule, DDReport, FourierTable,
                       SystemModel, check_dd, cosine_profile,
-                      effective_dynamics, fourier_modes, q_of_t,
-                      qka_bangbang_closed_form, tune_amplitude, vc_at)
+                      effective_dynamics, fourier_modes, operator_norm,
+                      q_of_t, qka_bangbang_closed_form, tune_amplitude,
+                      vc_at)
 from .errors import (ArgumentError, ConfigError, DecouplingViolationError,
                      NumericError, ResourceError, TuneSearchError,
                      UnsupportedModelError)
 from .experiments import (ExperimentConfig, Report, emit_report,
                           run_experiment, sweep)
-from .operators import (SpectralDecomposition, SuperOperator, build_superop,
-                        hs_inner, matrix_exp, operator_norm,
-                        ordered_propagator, partial_trace,
-                        spectral_decomposition)
 from .reservoir import (A2Report, FormFactor, ModeSet, SpectralFunction,
                         discretize_modes, form_factor_registry,
                         glue_form_factor, make_form_factor, pv_integral,
@@ -33,7 +30,7 @@ from .simulate import (DeviationReport, TotalModel, Trajectory,
                        trace_distance)
 from .weak_coupling import (RateSummary, WeakCouplingGenerator,
                             corrected_propagate, decoherence_time,
-                            delta_correction, level_shift, xi_rate)
+                            level_shift, xi_rate)
 
 
 def scenario_path(name: str):

@@ -17,12 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .control import (ControlSchedule, check_dd, fourier_modes, tune_amplitude)
+from .control import (ControlSchedule, check_dd, fourier_modes, operator_norm,
+                      tune_amplitude)
 from .errors import (ArgumentError, ConfigError, DecouplingViolationError,
                      NumericError, ResourceError, TuneSearchError)
 from .experiments import (ExperimentConfig, Report, _compute_rates,
                           _provenance, emit_report, run_experiment, sweep)
-from .operators import operator_norm
 
 EXIT_OK = 0
 EXIT_CONFIG = 1

@@ -25,9 +25,9 @@ import scipy
 
 from . import __version__
 from .control import (ControlSchedule, DDReport, SystemModel, check_dd,
-                      commutation_defect, fourier_modes)
-from .errors import ArgumentError, ConfigError, DecouplingViolationError
-from .operators import operator_norm
+                      commutation_defect, fourier_modes, operator_norm)
+from .errors import (ArgumentError, ConfigError, DecouplingViolationError,
+                     UnsupportedModelError)
 from .reservoir import (discretize_modes, make_form_factor, spectral_function)
 from .simulate import (DIMENSION_GUARD, DeviationReport, TotalModel,
                        Trajectory, compare_with_effective, evolve)
@@ -227,6 +227,8 @@ class ExperimentConfig:
                                   f"dimension {model.dim}")
 
         dd_tol = float(_get(doc, "dd_tol", (int, float), 1e-7))
+        if not dd_tol > 0:
+            raise ConfigError("dd_tol", "must be positive")
         require_dd = bool(_get(doc, "require_dd", bool,
                                schedule is not None))
         out_dir = _get(doc, "output_dir", str, "out")
@@ -351,15 +353,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Report:
                 f"scenario {cfg.scenario!r} requires decoupling but the "
                 f"schedule fails: zero mode {dd.zero_mode_norm:.3e}",
                 zero_mode_norm=dd.zero_mode_norm)
-        dd_holds = dd.passed and cfg.model.dim == 2
-    else:
-        dd_holds = False
+        if dd.passed:
+            try:
+                _, _, _, _, summary = _compute_rates(cfg)
+                rates_dict = summary.as_dict()
+            except UnsupportedModelError:
+                pass        # rates are defined for the unit-gap qubit only
 
     ff = make_form_factor(cfg.form_factor_name, cfg.beta,
                           **cfg.form_factor_params)
-    if dd_holds:
-        _, _, _, _, summary = _compute_rates(cfg)
-        rates_dict = summary.as_dict()
 
     results = _simulate_pair(cfg, ff)
     runs = {}

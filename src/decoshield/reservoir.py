@@ -18,8 +18,8 @@ import numpy as np
 import scipy.integrate
 import scipy.special
 
+from .control import operator_norm
 from .errors import ArgumentError, NumericError
-from .operators import operator_norm
 
 __all__ = [
     "FormFactor",

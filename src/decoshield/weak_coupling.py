@@ -11,14 +11,12 @@ reference dynamics preserves all coherence moduli exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
-from .control import DD_TOL, FourierTable, SystemModel
+from .control import DD_TOL, FourierTable, SystemModel, operator_norm
 from .errors import ArgumentError, DecouplingViolationError, UnsupportedModelError
-from .operators import SuperOperator, operator_norm
 from .reservoir import pv_integral
 
 __all__ = [
@@ -26,7 +24,6 @@ __all__ = [
     "RateSummary",
     "level_shift",
     "assemble_generator",
-    "delta_correction",
     "xi_rate",
     "decoherence_time",
     "corrected_propagate",
@@ -38,9 +35,8 @@ class WeakCouplingGenerator:
     """Assembled second-order generator with its ingredient tables."""
 
     model: SystemModel
-    a2: SuperOperator                 # includes the lambda^2 prefactor
-    delta: SuperOperator              # Hamiltonian part, also with lambda^2
-    s_matrix: np.ndarray              # Delta(B) = B S - S B
+    a2: np.ndarray                    # d^2 x d^2, row-major vec, with lambda^2
+    s_matrix: np.ndarray              # Delta(B) = B S - S B, also with lambda^2
     dissipator_weights: dict          # (k, a) -> pi G(k/T + 2a)
     pv_coefficients: dict             # (k, a) -> principal value at k/T + 2a
     jump_norms: dict                  # (k, a) -> ||Q_{k,a}||
@@ -63,11 +59,12 @@ def _require_qubit(model: SystemModel):
 
 
 def assemble_generator(ladder: dict, diss_weights: dict, pv_weights: dict,
-                       lam: float, dim: int = 2):
+                       lam: float, dim: int = 2) -> np.ndarray:
     """Assemble the generator from jump operators and weight tables.
 
-    Shared by the production path and by regularized-resolvent test
-    oracles that supply their own weights.
+    Returns the d^2 x d^2 matrix acting on row-major vec(B). Shared by
+    the production path and by regularized-resolvent test oracles that
+    supply their own weights.
     """
     d2 = dim * dim
     a2 = np.zeros((d2, d2), dtype=complex)
@@ -84,7 +81,7 @@ def assemble_generator(ladder: dict, diss_weights: dict, pv_weights: dict,
         dissipative = w * (2.0 * sandwich - left_qq - right_qq)
         hamiltonian = 1j * pv * (right_qq - left_qq)
         a2 += -0.5j * lam * lam * (dissipative + hamiltonian)
-    return SuperOperator(dim, a2)
+    return a2
 
 
 def level_shift(model: SystemModel, table: FourierTable, G, T: float,
@@ -137,32 +134,19 @@ def level_shift(model: SystemModel, table: FourierTable, G, T: float,
     for key, pv in pvs.items():
         qk = table.ladder[key]
         s += 0.5 * lam * lam * pv * (qk.conj().T @ qk)
-    identity = np.eye(2)
-    delta = SuperOperator(2, np.kron(identity, s.T) - np.kron(s, identity))
 
     return WeakCouplingGenerator(
-        model=model, a2=a2, delta=delta, s_matrix=s,
+        model=model, a2=a2, s_matrix=s,
         dissipator_weights=diss, pv_coefficients=pvs, jump_norms=norms,
         g_values=gvals, k_used=k_used, tail_bound=float(tail), lam=lam,
         period=T, control_strength=control_strength)
 
 
-def delta_correction(gen: WeakCouplingGenerator) -> SuperOperator:
-    """Hamiltonian correction Delta(B) = B S - S B with [S, H_s] = 0."""
-    return gen.delta
-
-
-def xi_rate(gen: WeakCouplingGenerator, spectral_power: int = 2) -> float:
-    """Filtered rate sum over ladder modes.
-
-    The printed rate uses |G|^2; the first-power variant appearing in the
-    remainder bound is available via ``spectral_power=1``.
-    """
-    if spectral_power not in (1, 2):
-        raise ArgumentError("spectral_power must be 1 or 2")
+def xi_rate(gen: WeakCouplingGenerator) -> float:
+    """Filtered rate sum over ladder modes, weighted by |G|^2."""
     total = 0.0
     for key, nq in gen.jump_norms.items():
-        total += nq * nq * abs(gen.g_values[key]) ** spectral_power
+        total += nq * nq * abs(gen.g_values[key]) ** 2
     return float(total)
 
 

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import scipy.integrate
+import scipy.linalg
 
 
 def bessel_j_series(n, x, terms=60):
@@ -78,3 +79,88 @@ def linear_r2(xs, ys):
     ss_res = float(resid @ resid)
     ss_tot = float(((ys - ys.mean()) ** 2).sum())
     return 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+
+
+def _square(a):
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a.view(float))):
+        raise ValueError("matrix has non-finite entries")
+    return a
+
+
+def _require_hermitian(h, rel_tol):
+    scale = max(1.0, np.linalg.norm(h, 2))
+    if np.linalg.norm(h - h.conj().T, 2) > rel_tol * scale:
+        raise ValueError("H(t) must be Hermitian at each sample")
+
+
+def _polar_unitary(u):
+    """Closest unitary to u (polar factor)."""
+    w, _, vh = np.linalg.svd(u)
+    return w @ vh
+
+
+def ordered_propagator(h, t0, t1, step):
+    """Time-ordered propagator U with U' = -i H(t) U, U(t0) = 1.
+
+    Fourth-order commutator-free Magnus integrator (Gauss nodes) with
+    fixed step, scipy's ``expm`` per exponential and polar
+    re-unitarization after each step. ``h`` maps a time to a Hermitian
+    matrix.
+    """
+    if t1 < t0:
+        raise ValueError("t1 must be >= t0")
+    if not step > 0:
+        raise ValueError("step must be positive")
+    h0 = _square(h(t0))
+    _require_hermitian(h0, 1e-10)
+    u = np.eye(h0.shape[0], dtype=complex)
+    if t1 == t0:
+        return u
+    n = max(1, int(np.ceil((t1 - t0) / step)))
+    dt = (t1 - t0) / n
+    c1, c2 = 0.5 - np.sqrt(3) / 6, 0.5 + np.sqrt(3) / 6
+    a1, a2 = 0.25 - np.sqrt(3) / 6, 0.25 + np.sqrt(3) / 6
+    for i in range(n):
+        t = t0 + i * dt
+        h1 = _square(h(t + c1 * dt))
+        h2 = _square(h(t + c2 * dt))
+        for m in (h1, h2):
+            _require_hermitian(m, 1e-9)
+        u = (scipy.linalg.expm(-1j * dt * (a1 * h1 + a2 * h2))
+             @ scipy.linalg.expm(-1j * dt * (a2 * h1 + a1 * h2)) @ u)
+        u = _polar_unitary(u)
+    return u
+
+
+def partial_trace(rho, dims, keep):
+    """Trace out all tensor factors not listed in ``keep``.
+
+    ``dims`` lists the factor dimensions; the kept factors stay in
+    ascending index order.
+    """
+    rho = _square(rho)
+    dims = [int(d) for d in dims]
+    if any(d <= 0 for d in dims):
+        raise ValueError("factor dimensions must be positive")
+    if int(np.prod(dims)) != rho.shape[0]:
+        raise ValueError(
+            f"product of dims {dims} != matrix dimension {rho.shape[0]}")
+    keep = sorted(set(int(k) for k in keep))
+    if any(k < 0 or k >= len(dims) for k in keep):
+        raise ValueError("keep indices out of range")
+    resh = rho.reshape(dims + dims)
+    # trace the discarded factors, highest axis first to keep indices valid
+    for i in reversed([i for i in range(len(dims)) if i not in keep]):
+        resh = np.trace(resh, axis1=i, axis2=i + resh.ndim // 2)
+    d_keep = int(np.prod([dims[k] for k in keep])) if keep else 1
+    return resh.reshape(d_keep, d_keep)
+
+
+def commutator_superop(a):
+    """B -> [A, B] as a d^2 x d^2 matrix on row-major vec(B)."""
+    a = np.asarray(a, dtype=complex)
+    eye = np.eye(a.shape[0])
+    return np.kron(a, eye) - np.kron(eye, a.T)

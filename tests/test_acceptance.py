@@ -14,18 +14,19 @@ import pytest
 import decoshield
 from decoshield.control import (ControlSchedule, SystemModel, check_dd,
                                 effective_dynamics, fourier_modes,
-                                qka_bangbang_closed_form, tune_amplitude)
+                                operator_norm, qka_bangbang_closed_form,
+                                tune_amplitude)
 from decoshield.experiments import ExperimentConfig, run_experiment, sweep
-from decoshield.operators import operator_norm, partial_trace
 from decoshield.reservoir import (discretize_modes, make_form_factor,
                                   spectral_function)
 from decoshield.simulate import (TotalModel, build_total_generator, evolve,
                                  jordan_wigner_annihilators,
                                  thermal_reservoir_state, trace_distance)
 from decoshield.weak_coupling import (assemble_generator, corrected_propagate,
-                                      delta_correction, level_shift, xi_rate)
+                                      level_shift, xi_rate)
 
-from oracles import bessel_j_series, linear_r2, regularized_weights
+from oracles import (bessel_j_series, commutator_superop, linear_r2,
+                     ordered_propagator, partial_trace, regularized_weights)
 
 MU_STAR = 7.554982305222015
 
@@ -92,7 +93,7 @@ def test_02_equivalence_of_decoupling_formulations():
         rep = check_dd(model, sched, tol=1e-7)
         two_condition = (rep.periodicity_defect < 1e-7
                          and rep.zero_mode_norm < 1e-7)
-        assert rep.residual_passed == two_condition
+        assert (rep.residual < rep.tolerance) == two_condition
         assert rep.passed == expect
     assert time.perf_counter() - start < 10.0
 
@@ -148,7 +149,7 @@ def test_04_level_shift_matches_regularized_resolvent():
 
     assert all(k != 0 for k, _ in gen.dissipator_weights)
     gen_neg = level_shift(model, table, sf, T, -0.05)
-    np.testing.assert_array_equal(gen.a2.matrix, gen_neg.a2.matrix)
+    np.testing.assert_array_equal(gen.a2, gen_neg.a2)
 
     diss, pvs = {}, {}
     for (k, a) in gen.dissipator_weights:
@@ -156,9 +157,9 @@ def test_04_level_shift_matches_regularized_resolvent():
         diss[(k, a)] = d
         pvs[(k, a)] = s
     oracle = assemble_generator(table.ladder, diss, pvs, 0.05, dim=2)
-    scale = np.abs(gen.a2.matrix).max()
+    scale = np.abs(gen.a2).max()
     assert scale > 0
-    assert np.abs(oracle.matrix - gen.a2.matrix).max() < 1e-4 * scale
+    assert np.abs(oracle - gen.a2).max() < 1e-4 * scale
     assert time.perf_counter() - start < 60.0
 
 
@@ -168,14 +169,14 @@ def test_05_phase_correction_structure():
     sf = spectral_function(make_form_factor("gaussian-p", beta=1.0))
     gen = level_shift(model, fourier_modes(
         model, ControlSchedule.sinusoidal(T, MU_STAR)), sf, T, 0.05)
-    delta = delta_correction(gen)
-
-    from decoshield.operators import commutator_superop
+    # Delta(B) = B S - S B = -[S, B], built here from the shift matrix S
+    s = gen.s_matrix
+    delta = -commutator_superop(s)
     l_s = commutator_superop(model.h_s)
-    assert operator_norm(delta.matrix @ l_s.matrix
-                         - l_s.matrix @ delta.matrix) < 1e-10
+    assert operator_norm(delta @ l_s - l_s @ delta) < 1e-10
     for w in rng.standard_normal((5, 2)):
-        assert operator_norm(delta(np.diag(w).astype(complex))) < 1e-14
+        diag = np.diag(w).astype(complex)
+        assert operator_norm(diag @ s - s @ diag) < 1e-14
 
     vec = np.array([np.sqrt(0.35), np.sqrt(0.65) * np.exp(0.7j)])
     rho0 = np.outer(vec, vec.conj())
@@ -201,7 +202,6 @@ def test_06_exact_simulator_ground_truth():
         assert trace_distance(rho, ref) < 1e-8
 
     # single mode vs dense time-ordered integration
-    from decoshield.operators import ordered_propagator
     modes1 = discretize_modes(sf, ff, 1, 3.0)
     tm1 = TotalModel(model, modes1, 0.3, sched)
     traj1 = evolve(tm1, plus_state(), 0.6, 0.2, substeps_per_period=4096)

@@ -80,6 +80,12 @@ class TestConfigValidation:
         cfg = ExperimentConfig.from_dict(doc)
         assert cfg.model.q[0, 1] == -1j
 
+    @pytest.mark.parametrize("tol", [0, -1e-7])
+    def test_nonpositive_dd_tol_rejected(self, tol):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict(small_doc(dd_tol=tol))
+        assert err.value.field_path == "dd_tol"
+
     def test_bundled_scenario_is_valid(self):
         cfg = ExperimentConfig.from_file(
             decoshield.scenario_path("spin-fermion-sinusoidal"))
@@ -116,6 +122,21 @@ class TestRunExperiment:
                      "report.json"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
+
+    def test_qutrit_records_null_rates(self, tmp_path):
+        # kicks on H_dir = diag(1, -1, 1) average the 0-1 and 1-2 couplings
+        doc = small_doc(**{
+            "system.h_s": [[0.5, 0, 0], [0, 0, 0], [0, 0, -0.5]],
+            "system.q": [[0, 1, 0], [1, 0, 1], [0, 1, 0]],
+            "schedule": {"kind": "bangbang", "period": 0.25,
+                         "phases": [0.25, 0.75],
+                         "weights": [math.pi / 2, -math.pi / 2],
+                         "h_dir": [[1, 0, 0], [0, -1, 0], [0, 0, 1]]}})
+        report = run_experiment(ExperimentConfig.from_dict(doc),
+                                out_dir=tmp_path)
+        assert report.dd["passed"]
+        assert report.rates is None
+        assert set(report.runs) == {"on", "off"}
 
     def test_report_json_round_trip(self, tmp_path):
         cfg = ExperimentConfig.from_dict(small_doc())
@@ -264,6 +285,22 @@ class TestCli:
         assert cli_main(["compare", "--config", cfg,
                          "--out", str(out)]) == 0
         assert "ratio" in capsys.readouterr().out
+
+    def test_simulate_non_unit_gap_qubit_records_null_rates(self, tmp_path):
+        # rates assume H_s = diag(1, -1); the exact simulation does not
+        out = tmp_path / "res"
+        doc = small_doc(**{"system.h_s": [[0.5, 0], [0, -0.5]],
+                           "reservoir.n_modes": 3, "run.horizon": 2.0})
+        cfg = self.write_config(tmp_path, doc)
+        assert cli_main(["simulate", "--config", cfg,
+                         "--out", str(out)]) == 0
+        assert (out / "trajectory_on.csv").is_file()
+        assert (out / "trajectory_off.csv").is_file()
+        report = json.loads((out / "report.json").read_text())
+        assert report["rates"] is None
+        assert report["dd"]["passed"]
+        assert cli_main(["rates", "--config", cfg,
+                         "--out", str(tmp_path / "r")]) == 1
 
     def test_fourier_table_output(self, tmp_path):
         out = tmp_path / "f"

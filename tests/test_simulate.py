@@ -2,17 +2,18 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from decoshield.control import ControlSchedule, SystemModel, effective_dynamics
+from decoshield.control import (ControlSchedule, SystemModel,
+                                effective_dynamics, operator_norm)
 import decoshield.simulate as simulate
 from decoshield.errors import ArgumentError, NumericError, ResourceError
-from decoshield.operators import (operator_norm, ordered_propagator,
-                                  partial_trace)
 from decoshield.reservoir import make_form_factor, spectral_function, \
     discretize_modes
 from decoshield.simulate import (TotalModel, build_total_generator,
                                  compare_with_effective, evolve,
                                  jordan_wigner_annihilators,
                                  thermal_reservoir_state, trace_distance)
+
+from oracles import ordered_propagator, partial_trace
 
 MU_STAR = 7.554982305222015
 

@@ -3,17 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from decoshield.control import ControlSchedule, SystemModel, fourier_modes
+from decoshield.control import (ControlSchedule, SystemModel, fourier_modes,
+                                operator_norm)
 from decoshield.errors import DecouplingViolationError, UnsupportedModelError
-from decoshield.operators import (SuperOperator, commutator_superop,
-                                  operator_norm)
 from decoshield.reservoir import make_form_factor, spectral_function
 from decoshield.weak_coupling import (WeakCouplingGenerator,
                                       assemble_generator, corrected_propagate,
-                                      decoherence_time, delta_correction,
-                                      level_shift, xi_rate)
+                                      decoherence_time, level_shift, xi_rate)
 
-from oracles import regularized_weights
+from oracles import commutator_superop, regularized_weights
 
 MU_STAR = 7.554982305222015
 
@@ -44,8 +42,8 @@ class TestAssembly:
     def test_zero_coupling_gives_zero_generator(self, setup):
         model, T, sched, sf, table, _ = setup
         gen0 = level_shift(model, table, sf, T, 0.0)
-        assert gen0.a2.norm() == 0.0
-        assert gen0.delta.norm() == 0.0
+        assert operator_norm(gen0.a2) == 0.0
+        assert operator_norm(gen0.s_matrix) == 0.0
 
     def test_zero_mode_terms_absent(self, setup):
         _, _, _, _, _, gen = setup
@@ -55,7 +53,7 @@ class TestAssembly:
     def test_even_in_coupling_sign(self, setup):
         model, T, sched, sf, table, gen = setup
         gen_neg = level_shift(model, table, sf, T, -0.05)
-        np.testing.assert_array_equal(gen.a2.matrix, gen_neg.a2.matrix)
+        np.testing.assert_array_equal(gen.a2, gen_neg.a2)
 
     def test_nonnegative_dissipator_weights(self, setup):
         _, _, _, _, _, gen = setup
@@ -82,7 +80,7 @@ class TestAssembly:
         g16 = level_shift(model, t16, sf, T, 0.05, tail_tol=0.0)
         g32 = level_shift(model, t32, sf, T, 0.05, tail_tol=0.0)
         assert abs(xi_rate(g16) - xi_rate(g32)) < 1e-10
-        assert operator_norm(g16.a2.matrix - g32.a2.matrix) < 1e-10
+        assert operator_norm(g16.a2 - g32.a2) < 1e-10
 
 
 class TestRegularizedResolventOracle:
@@ -97,30 +95,33 @@ class TestRegularizedResolventOracle:
             diss[key] = d
             pvs[key] = s
         oracle = assemble_generator(table.ladder, diss, pvs, gen.lam, dim=2)
-        scale = gen.a2.norm()
+        scale = operator_norm(gen.a2)
         assert scale > 0
-        assert operator_norm(oracle.matrix - gen.a2.matrix) < 1e-4 * scale
+        assert operator_norm(oracle - gen.a2) < 1e-4 * scale
 
 
 class TestDeltaStructure:
+    # Delta(B) = B S - S B = -[S, B], built here from the shift matrix S
+
     def test_commutes_with_free_liouvillian(self, setup):
         model, _, _, _, _, gen = setup
-        delta = delta_correction(gen)
+        delta = -commutator_superop(gen.s_matrix)
         l_s = commutator_superop(model.h_s)
-        comm = delta.matrix @ l_s.matrix - l_s.matrix @ delta.matrix
+        comm = delta @ l_s - l_s @ delta
         assert operator_norm(comm) < 1e-10
 
     def test_annihilates_diagonal_states(self, setup):
         _, _, _, _, _, gen = setup
-        delta = delta_correction(gen)
+        s = gen.s_matrix
         for _ in range(5):
             diag = np.diag(rng.standard_normal(2)).astype(complex)
-            assert operator_norm(delta(diag)) < 1e-14
+            assert operator_norm(diag @ s - s @ diag) < 1e-14
 
     def test_quadratic_coupling_scaling(self, setup):
         model, T, sched, sf, table, gen = setup
         gen2 = level_shift(model, table, sf, T, 0.10)
-        np.testing.assert_allclose(gen2.delta.matrix, 4.0 * gen.delta.matrix,
+        np.testing.assert_allclose(-commutator_superop(gen2.s_matrix),
+                                   -4.0 * commutator_superop(gen.s_matrix),
                                    atol=1e-14)
 
     def test_shift_matrix_hermitian_diagonal(self, setup):
@@ -139,7 +140,6 @@ class TestRates:
     def test_nonnegative(self, setup):
         _, _, _, _, _, gen = setup
         assert xi_rate(gen) >= 0.0
-        assert xi_rate(gen, spectral_power=1) >= 0.0
 
     def test_brute_force_mode_sum(self, setup):
         # independent re-summation from the Bessel-identity mode norms
@@ -159,8 +159,8 @@ class TestRates:
 
     def test_decoherence_time_closed_form(self):
         fake = WeakCouplingGenerator(
-            model=SystemModel.qubit(), a2=SuperOperator.zero(2),
-            delta=SuperOperator.zero(2), s_matrix=np.zeros((2, 2)),
+            model=SystemModel.qubit(), a2=np.zeros((4, 4)),
+            s_matrix=np.zeros((2, 2)),
             dissipator_weights={(1, -1): 1.0}, pv_coefficients={(1, -1): 0.0},
             jump_norms={(1, -1): 1.0}, g_values={(1, -1): 1.0},
             k_used=1, tail_bound=0.0, lam=0.1, period=0.5)
