@@ -3,7 +3,9 @@
 Shrinking the drive period pushes the coupling's Fourier weight to
 higher frequencies, where the reservoir has no spectral weight, so
 faster driving should retain more coherence. This sweep shows the
-trend on the bundled scenario. Set DECOSHIELD_THREADS to parallelize.
+trend on the bundled scenario. Every period passes the same validation
+as a config file (T * ||H_s|| < pi/2) before the first point runs; the
+points then run one after another.
 """
 
 import decoshield

@@ -20,10 +20,10 @@ from .errors import (ArgumentError, ConfigError, DecouplingViolationError,
                      UnsupportedModelError)
 from .experiments import (ExperimentConfig, Report, emit_report,
                           run_experiment, sweep)
-from .reservoir import (A2Report, FormFactor, ModeSet, SpectralFunction,
+from .reservoir import (FormFactor, ModeSet, SpectralFunction,
                         discretize_modes, form_factor_registry,
                         glue_form_factor, make_form_factor, pv_integral,
-                        spectral_function, validate_a2)
+                        spectral_function)
 from .simulate import (DeviationReport, TotalModel, Trajectory,
                        build_total_generator, compare_with_effective, evolve,
                        jordan_wigner_annihilators, thermal_reservoir_state,

@@ -21,8 +21,9 @@ from .control import (ControlSchedule, check_dd, fourier_modes, operator_norm,
                       tune_amplitude)
 from .errors import (ArgumentError, ConfigError, DecouplingViolationError,
                      NumericError, ResourceError, TuneSearchError)
-from .experiments import (ExperimentConfig, Report, _compute_rates,
-                          _provenance, emit_report, run_experiment, sweep)
+from .experiments import (SWEEP_AXES, ExperimentConfig, Report,
+                          _compute_rates, _g6, _provenance, _reservoir,
+                          emit_report, run_experiment, sweep)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -58,8 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("rates", "second-order rates and decoherence time")
     add("simulate", "exact simulation with forcing on and off")
     swp = add("sweep", "run the pipeline along a parameter axis")
-    swp.add_argument("--axis", required=True,
-                     choices=["lambda", "T", "mu", "N"])
+    swp.add_argument("--axis", required=True, choices=list(SWEEP_AXES))
     swp.add_argument("--values", required=True,
                      help="comma-separated axis values")
     add("compare", "simulate and summarize on/off coherence retention")
@@ -134,7 +134,8 @@ def _cmd_rates(args, cfg) -> int:
         raise DecouplingViolationError(
             f"rates require decoupling; zero mode {dd.zero_mode_norm:.3e}",
             zero_mode_norm=dd.zero_mode_norm)
-    _, _, _, _, summary = _compute_rates(cfg)
+    _, sf = _reservoir(cfg)
+    summary = _compute_rates(cfg, sf)
     report = Report(dd={"zero_mode_norm": dd.zero_mode_norm,
                         "passed": dd.passed},
                     rates=summary.as_dict(), runs={}, sweep=None,
@@ -167,8 +168,8 @@ def _cmd_sweep(args, cfg) -> int:
                     provenance=_provenance(cfg))
     emit_report(report, args.format, _out_dir(cfg))
     for row in rows:
-        print(f"{args.axis}={row['value']:g}: xi={row['xi']:.6g}, "
-              f"t_dec={row['t_dec']:.6g}, retention={row['retention']:.6g}")
+        print(f"{args.axis}={row['value']:g}: xi={_g6(row['xi'])}, "
+              f"t_dec={_g6(row['t_dec'])}, retention={row['retention']:.6g}")
     return EXIT_OK
 
 

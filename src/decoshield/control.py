@@ -213,14 +213,6 @@ class ControlSchedule:
         """T * max_t ||H_c(t)||, the dimensionless control strength."""
         return self.period * self.max_control_norm()
 
-    def rescaled(self, new_period: float) -> "ControlSchedule":
-        """Same schedule on a different period (covariant rescaling)."""
-        if self.kind == "smooth":
-            return ControlSchedule.smooth(new_period, self.mu, self.h_dir,
-                                          self.kappa, self.kappa_integral)
-        return ControlSchedule.bangbang(new_period, self.kick_phases,
-                                        self.kick_weights, self.h_dir)
-
     def segments(self):
         """Bang-bang: (start_x, end_x, phase) pieces covering one period."""
         if self.kind != "bangbang":

@@ -10,12 +10,11 @@ config and seed.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
-import os
 import platform
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
@@ -31,7 +30,7 @@ from .errors import (ArgumentError, ConfigError, DecouplingViolationError,
 from .reservoir import (discretize_modes, make_form_factor, spectral_function)
 from .simulate import (DIMENSION_GUARD, DeviationReport, TotalModel,
                        Trajectory, compare_with_effective, evolve)
-from .weak_coupling import decoherence_time, level_shift
+from .weak_coupling import RateSummary, decoherence_time, level_shift
 
 __all__ = [
     "ExperimentConfig",
@@ -40,20 +39,11 @@ __all__ = [
     "sweep",
     "emit_report",
     "write_trajectory_csv",
-    "thread_count",
 ]
 
-SWEEP_AXES = ("lambda", "T", "mu", "N")
-
-
-def thread_count() -> int:
-    """Worker cap from DECOSHIELD_THREADS (default 1)."""
-    raw = os.environ.get("DECOSHIELD_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError("DECOSHIELD_THREADS", f"not an integer: {raw!r}")
-    return max(1, n)
+#: sweep axis -> the config field each point sets
+SWEEP_AXES = {"lambda": "coupling", "T": "schedule.period",
+              "mu": "schedule.mu", "N": "reservoir.n_modes"}
 
 
 _MISSING = object()
@@ -114,7 +104,6 @@ class ExperimentConfig:
     sample_dt: float
     substeps_per_period: int
     c_const: float
-    big_c_const: float
     initial_state: np.ndarray
     dd_tol: float
     require_dd: bool
@@ -212,7 +201,6 @@ class ExperimentConfig:
             raise ConfigError("run.substeps_per_period", "must be >= 1")
 
         c_const = float(_get(doc, "constants.c_const", (int, float), 1.0))
-        big_c = float(_get(doc, "constants.C_const", (int, float), 1.0))
 
         state_raw = _get(doc, "initial_state", list, None)
         if state_raw is None:
@@ -239,7 +227,7 @@ class ExperimentConfig:
                    beta=beta, n_modes=n_modes, p_max=p_max, lam=lam,
                    horizon=horizon, sample_dt=sample_dt,
                    substeps_per_period=substeps, c_const=c_const,
-                   big_c_const=big_c, initial_state=state, dd_tol=dd_tol,
+                   initial_state=state, dd_tol=dd_tol,
                    require_dd=require_dd, output_dir=out_dir, seed=seed,
                    raw=doc)
 
@@ -298,24 +286,24 @@ def _run_dict(traj: Trajectory, dev: DeviationReport) -> dict:
     }
 
 
-def _compute_rates(cfg: ExperimentConfig, table=None, sf=None):
-    """Fourier table, spectral function and rate summary for a scenario."""
+def _reservoir(cfg: ExperimentConfig):
+    """Form factor and spectral function of the scenario's reservoir."""
     ff = make_form_factor(cfg.form_factor_name, cfg.beta,
                           **cfg.form_factor_params)
-    if sf is None:
-        sf = spectral_function(ff)
-    if table is None:
-        table = fourier_modes(cfg.model, cfg.schedule)
+    return ff, spectral_function(ff)
+
+
+def _compute_rates(cfg: ExperimentConfig, sf) -> RateSummary:
+    """Second-order rate summary of a driven scenario."""
+    table = fourier_modes(cfg.model, cfg.schedule)
     gen = level_shift(cfg.model, table, sf, cfg.schedule.period, cfg.lam,
                       dd_tol=cfg.dd_tol,
                       control_strength=cfg.schedule.strength())
-    summary = decoherence_time(gen, c_const=cfg.c_const)
-    return ff, sf, table, gen, summary
+    return decoherence_time(gen, c_const=cfg.c_const)
 
 
-def _simulate_pair(cfg: ExperimentConfig, ff):
+def _simulate_pair(cfg: ExperimentConfig, ff, sf):
     """DD-on and DD-off trajectories with their deviation reports."""
-    sf = spectral_function(ff)
     modes = discretize_modes(sf, ff, cfg.n_modes, cfg.p_max)
     results = {}
     for label, sched in (("on", cfg.schedule), ("off", None)):
@@ -326,11 +314,34 @@ def _simulate_pair(cfg: ExperimentConfig, ff):
         traj = evolve(tm, cfg.initial_state, cfg.horizon, cfg.sample_dt,
                       substeps_per_period=cfg.substeps_per_period,
                       rng_seed=cfg.seed)
-        dev = compare_with_effective(traj, cfg.model, sched, lam=cfg.lam,
-                                     c_const=cfg.c_const,
-                                     big_c_const=cfg.big_c_const)
-        results[label] = (traj, dev)
+        results[label] = (traj, compare_with_effective(traj, cfg.model, sched))
     return results
+
+
+def _run_point(cfg: ExperimentConfig):
+    """One pipeline point: decoupling check and verdict, rates, on/off runs.
+
+    Returns the DDReport (None when undriven), the RateSummary and the
+    ``_simulate_pair`` results. The rates are None when the run is
+    undriven, when the check fails and decoupling is not required, or
+    when the model has no second-order rates. Raises
+    DecouplingViolationError when decoupling is required and fails.
+    """
+    ff, sf = _reservoir(cfg)
+    dd = summary = None
+    if cfg.schedule is not None:
+        dd = check_dd(cfg.model, cfg.schedule, tol=cfg.dd_tol)
+        if cfg.require_dd and not dd.passed:
+            raise DecouplingViolationError(
+                f"scenario {cfg.scenario!r} requires decoupling but the "
+                f"schedule fails: zero mode {dd.zero_mode_norm:.3e}",
+                zero_mode_norm=dd.zero_mode_norm)
+        if dd.passed:
+            try:
+                summary = _compute_rates(cfg, sf)
+            except UnsupportedModelError:
+                pass        # rates are defined for the unit-gap qubit only
+    return dd, summary, _simulate_pair(cfg, ff, sf)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Report:
@@ -343,27 +354,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Report:
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    dd_dict = None
-    rates_dict = None
-    if cfg.schedule is not None:
-        dd = check_dd(cfg.model, cfg.schedule, tol=cfg.dd_tol)
-        dd_dict = _dd_dict(dd)
-        if cfg.require_dd and not dd.passed:
-            raise DecouplingViolationError(
-                f"scenario {cfg.scenario!r} requires decoupling but the "
-                f"schedule fails: zero mode {dd.zero_mode_norm:.3e}",
-                zero_mode_norm=dd.zero_mode_norm)
-        if dd.passed:
-            try:
-                _, _, _, _, summary = _compute_rates(cfg)
-                rates_dict = summary.as_dict()
-            except UnsupportedModelError:
-                pass        # rates are defined for the unit-gap qubit only
-
-    ff = make_form_factor(cfg.form_factor_name, cfg.beta,
-                          **cfg.form_factor_params)
-
-    results = _simulate_pair(cfg, ff)
+    dd, summary, results = _run_point(cfg)
     runs = {}
     for label, (traj, dev) in results.items():
         runs[label] = _run_dict(traj, dev)
@@ -373,8 +364,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Report:
         write_trajectory_csv(*results["off"], out / "trajectory_on.csv")
         runs["on"] = runs["off"]
 
-    report = Report(dd=dd_dict, rates=rates_dict, runs=runs, sweep=None,
-                    provenance=_provenance(cfg))
+    report = Report(dd=None if dd is None else _dd_dict(dd),
+                    rates=None if summary is None else summary.as_dict(),
+                    runs=runs, sweep=None, provenance=_provenance(cfg))
     emit_report(report, "json", out)
     return report
 
@@ -408,65 +400,68 @@ def write_trajectory_csv(traj: Trajectory, dev: DeviationReport, path):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def sweep(cfg: ExperimentConfig, axis: str, values) -> list:
-    """One reduced pipeline run per axis value.
+def _g6(x) -> str:
+    """Six significant digits, or null for a missing rate."""
+    return "null" if x is None else f"{x:.6g}"
 
-    Returns rows of (value, xi, t_dec, retention, sup_deviation). The
-    spectral function is shared across all points; the Fourier table is
-    shared whenever the axis leaves the schedule untouched.
+
+def _set_field(doc: dict, path: str, value) -> dict:
+    """Copy of a config document with one dotted field set."""
+    doc = copy.deepcopy(doc)
+    *parents, leaf = path.split(".")
+    node = doc
+    for part in parents:
+        node = node[part]
+    node[leaf] = value
+    return doc
+
+
+def sweep(cfg: ExperimentConfig, axis: str, values) -> list:
+    """One pipeline point per axis value.
+
+    Each point is ``cfg.raw`` with the axis field set, parsed again, so
+    it passes the validation a config file does; every point is parsed
+    before any runs. Returns rows of (value, xi, t_dec, retention,
+    sup_deviation); xi and t_dec are None where the point has no rates.
     """
     if axis not in SWEEP_AXES:
         raise ArgumentError(
-            f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
-    values = list(values)
+            f"unknown sweep axis {axis!r}; choose from {tuple(SWEEP_AXES)}")
+    values = [float(v) for v in values]
     if len(values) < 2:
         raise ArgumentError("sweep needs at least 2 values")
     if cfg.schedule is None:
         raise ArgumentError("sweep requires a driven scenario")
+    if axis == "mu" and cfg.raw["schedule"]["kind"] != "sinusoidal":
+        raise ConfigError("schedule.kind",
+                          "a mu sweep needs a sinusoidal schedule")
 
-    ff = make_form_factor(cfg.form_factor_name, cfg.beta,
-                          **cfg.form_factor_params)
-    sf = spectral_function(ff)
-    shared_table = (fourier_modes(cfg.model, cfg.schedule)
-                    if axis in ("lambda", "N") else None)
+    points = []
+    for value in values:
+        if axis == "N" and value.is_integer():
+            value = int(value)      # the parser takes integer mode counts only
+        point = ExperimentConfig.from_dict(
+            _set_field(cfg.raw, SWEEP_AXES[axis], value))
+        # --seed and --out stay out of raw, hence out of config_hash
+        points.append(replace(point, seed=cfg.seed,
+                              output_dir=cfg.output_dir))
 
-    def vary(value) -> ExperimentConfig:
-        if axis == "lambda":
-            return replace(cfg, lam=float(value))
-        if axis == "T":
-            return replace(cfg, schedule=cfg.schedule.rescaled(float(value)))
-        if axis == "mu":
-            sched = ControlSchedule.smooth(cfg.schedule.period, float(value),
-                                           cfg.schedule.h_dir,
-                                           cfg.schedule.kappa,
-                                           cfg.schedule.kappa_integral)
-            return replace(cfg, schedule=sched)
-        return replace(cfg, n_modes=int(value))
-
-    def one_point(value):
-        c = vary(value)
-        dd = check_dd(c.model, c.schedule, tol=c.dd_tol)
-        if c.require_dd and not dd.passed:
+    rows = []
+    for value, point in zip(values, points):
+        try:
+            _, summary, results = _run_point(point)
+        except DecouplingViolationError as exc:
             raise DecouplingViolationError(
-                f"sweep point {axis}={value} fails decoupling",
-                zero_mode_norm=dd.zero_mode_norm)
-        _, _, _, _, summary = _compute_rates(c, table=shared_table, sf=sf)
-        results = _simulate_pair(c, ff)
+                f"sweep point {axis}={value:g}: {exc}",
+                zero_mode_norm=exc.zero_mode_norm) from exc
         _, dev_on = results["on"]
-        return {
-            "value": float(value),
-            "xi": summary.xi,
-            "t_dec": summary.t_dec,
+        rows.append({
+            "value": value,
+            "xi": None if summary is None else summary.xi,
+            "t_dec": None if summary is None else summary.t_dec,
             "retention": dev_on.final_retention,
             "sup_deviation": dev_on.sup_deviation,
-        }
-
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one_point, values))
-    else:
-        rows = [one_point(v) for v in values]
+        })
     return rows
 
 
@@ -514,7 +509,7 @@ def emit_report(report: Report, fmt: str, out_dir) -> Path:
                       "|---|---|---|---|---|"]
             for row in report.sweep:
                 lines.append("| " + " | ".join(
-                    f"{row[k]:.6g}" for k in
+                    _g6(row[k]) for k in
                     ("value", "xi", "t_dec", "retention", "sup_deviation"))
                     + " |")
         path.write_text("\n".join(lines) + "\n")

@@ -18,7 +18,6 @@ import numpy as np
 import scipy.integrate
 import scipy.special
 
-from .control import operator_norm
 from .errors import ArgumentError, NumericError
 
 __all__ = [
@@ -31,8 +30,6 @@ __all__ = [
     "spectral_function",
     "pv_integral",
     "discretize_modes",
-    "validate_a2",
-    "A2Report",
 ]
 
 # full solid-angle weight of the isotropic angular integral
@@ -184,57 +181,3 @@ def discretize_modes(G, ff: FormFactor, N: int, p_max: float) -> ModeSet:
     occupations = scipy.special.expit(-ff.beta * omegas)
     return ModeSet(frequencies=omegas, couplings=couplings,
                    occupations=occupations, beta=ff.beta)
-
-
-@dataclass(frozen=True)
-class A2Report:
-    """Numeric proxies for the analyticity assumption on the form factor."""
-
-    strip_ok: bool
-    strip_margin: float
-    evenness_ok: bool
-    evenness_defect: float
-    moment_ok: bool
-    moment_value: float
-
-    @property
-    def passed(self) -> bool:
-        return self.strip_ok and self.evenness_ok and self.moment_ok
-
-
-def validate_a2(ff: FormFactor, model, evenness_tol: float = 1e-8) -> A2Report:
-    """Check the validation proxies for the form-factor assumption.
-
-    * strip: r_max must exceed 8 ||H_s||,
-    * evenness: p * f(p) must extend evenly through p = 0 (vanishing
-      one-sided derivative, Richardson-extrapolated finite differences),
-    * moment: int (1 + p^2) |g(p)|^2 dp must be finite.
-    """
-    h_norm = operator_norm(model.h_s)
-    strip_margin = ff.r_max - 8.0 * h_norm
-    strip_ok = strip_margin > 0
-
-    def h(p):
-        return p * float(ff.f(p))
-
-    # one-sided derivative of p f(p) at 0+ via Richardson on step halving
-    eps = 1e-4
-    d1 = (h(2 * eps) - h(0.0)) / (2 * eps)
-    d2 = (h(eps) - h(0.0)) / eps
-    deriv = 2 * d2 - d1
-    evenness_defect = abs(deriv)
-    evenness_ok = evenness_defect < evenness_tol
-
-    def moment_integrand(p):
-        g = abs(glue_form_factor(ff, p))
-        return (1.0 + p * p) * g * g
-
-    val_pos, _ = scipy.integrate.quad(moment_integrand, 0.0, np.inf, limit=300)
-    val_neg, _ = scipy.integrate.quad(moment_integrand, -np.inf, 0.0, limit=300)
-    moment_value = val_pos + val_neg
-    moment_ok = bool(np.isfinite(moment_value))
-
-    return A2Report(strip_ok=bool(strip_ok), strip_margin=float(strip_margin),
-                    evenness_ok=bool(evenness_ok),
-                    evenness_defect=float(evenness_defect),
-                    moment_ok=moment_ok, moment_value=float(moment_value))

@@ -17,7 +17,7 @@ sub-sampling kicks in only above the dense-ensemble size guard).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -402,26 +402,12 @@ class DeviationReport:
     sup_deviation: float
     retention: np.ndarray
     final_retention: float
-    bound_overlay: np.ndarray = field(repr=False, default=None)
-
-    def as_dict(self):
-        return {
-            "sup_deviation": self.sup_deviation,
-            "final_retention": self.final_retention,
-        }
 
 
 def compare_with_effective(traj: Trajectory, model: SystemModel,
                            schedule: Optional[ControlSchedule],
-                           lam: float = 0.0,
-                           c_const: float = 1.0, big_c_const: float = 1.0,
                            coherence_pair=(0, 1)) -> DeviationReport:
-    """Per-time trace distance to the reservoir-free reference dynamics.
-
-    Also evaluates the structural error-bound shape
-    C (|lam| + (D |lam| + 1) T + 1 - exp(-c t |lam| T)) for visual
-    overlay; the constants are configuration inputs, not ground truth.
-    """
+    """Per-time trace distance to the reservoir-free reference dynamics."""
     sched = schedule if schedule is not None else ControlSchedule.off(
         period=1.0, dim=model.dim)
     rho0 = traj.initial_state
@@ -433,15 +419,7 @@ def compare_with_effective(traj: Trajectory, model: SystemModel,
     m, n = coherence_pair
     coh = traj.coherence(m, n)
     retention = coh / coh[0] if coh[0] > 0 else np.full_like(coh, np.nan)
-    if schedule is not None:
-        strength = sched.strength()
-        T = sched.period
-    else:
-        strength, T = 0.0, 0.0
-    bound = big_c_const * (abs(lam) + (strength * abs(lam) + 1.0) * T
-                           + 1.0 - np.exp(-c_const * traj.times * abs(lam) * T))
     return DeviationReport(times=traj.times, deviations=devs,
                            sup_deviation=float(devs.max()),
                            retention=retention,
-                           final_retention=float(retention[-1]),
-                           bound_overlay=bound)
+                           final_retention=float(retention[-1]))

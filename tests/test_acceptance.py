@@ -56,7 +56,7 @@ def small_scenario(**overrides):
         "coupling": 0.05,
         "run": {"horizon": 1.0, "sample_dt": 0.25,
                 "substeps_per_period": 64},
-        "constants": {"c_const": 0.0, "C_const": 1.0},
+        "constants": {"c_const": 0.0},
         "seed": 0,
     }
     doc.update(overrides)
@@ -237,7 +237,7 @@ def test_07_suppression_on_default_scenario():
     from decoshield.experiments import _simulate_pair
     ff = make_form_factor(cfg.form_factor_name, cfg.beta,
                           **cfg.form_factor_params)
-    results = _simulate_pair(cfg, ff)
+    results = _simulate_pair(cfg, ff, spectral_function(ff))
     traj_on, dev_on = results["on"]
     _, dev_off = results["off"]
 

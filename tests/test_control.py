@@ -157,8 +157,12 @@ class TestEquivalenceOfFormulations:
 class TestSchedulingProperties:
     def test_rescaling_preserves_verdict_and_strength(self):
         model = SystemModel.qubit()
-        for sched in (tuned_schedule(0.1), two_kick(1.0)):
-            scaled = sched.rescaled(0.037)
+        pairs = ((tuned_schedule(0.1),
+                  ControlSchedule.sinusoidal(0.037, MU_STAR)),
+                 (two_kick(1.0),
+                  ControlSchedule.bangbang(0.037, [0.25, 0.75],
+                                           [np.pi / 2, -np.pi / 2])))
+        for sched, scaled in pairs:
             assert check_dd(model, scaled).passed
             assert scaled.strength() == pytest.approx(sched.strength(),
                                                       abs=1e-10)

@@ -7,8 +7,8 @@ import pytest
 import decoshield
 from decoshield.cli import main as cli_main
 from decoshield.errors import ArgumentError, ConfigError
-from decoshield.experiments import (ExperimentConfig, emit_report,
-                                    run_experiment, sweep, thread_count)
+from decoshield.experiments import (ExperimentConfig, Report, emit_report,
+                                    run_experiment, sweep)
 
 MU_STAR = 7.554982305222015
 
@@ -23,7 +23,7 @@ def small_doc(**overrides):
         "coupling": 0.05,
         "run": {"horizon": 1.0, "sample_dt": 0.25,
                 "substeps_per_period": 64},
-        "constants": {"c_const": 1.0, "C_const": 1.0},
+        "constants": {"c_const": 1.0},
         "dd_tol": 1e-7,
         "require_dd": True,
         "seed": 0,
@@ -169,21 +169,6 @@ class TestSweep:
         rows = sweep(cfg, "N", [2, 3])
         assert [row["value"] for row in rows] == [2.0, 3.0]
 
-    def test_thread_cap_env(self, monkeypatch):
-        monkeypatch.setenv("DECOSHIELD_THREADS", "3")
-        assert thread_count() == 3
-        monkeypatch.setenv("DECOSHIELD_THREADS", "zebra")
-        with pytest.raises(ConfigError):
-            thread_count()
-
-    def test_parallel_matches_serial(self, monkeypatch):
-        cfg = ExperimentConfig.from_dict(small_doc())
-        monkeypatch.setenv("DECOSHIELD_THREADS", "1")
-        serial = sweep(cfg, "lambda", [0.02, 0.08])
-        monkeypatch.setenv("DECOSHIELD_THREADS", "2")
-        parallel = sweep(cfg, "lambda", [0.02, 0.08])
-        assert serial == parallel
-
 
 class TestEmitReport:
     @pytest.fixture()
@@ -206,6 +191,14 @@ class TestEmitReport:
         keys = {line.split(",")[0] for line in lines[1:]}
         assert "rates.xi" in keys
         assert "provenance.config_hash" in keys
+
+    def test_markdown_sweep_row_without_rates(self, tmp_path):
+        row = {"value": 0.02, "xi": None, "t_dec": None, "retention": 0.9,
+               "sup_deviation": 1e-6}
+        report = Report(dd=None, rates=None, runs={}, sweep=[row],
+                        provenance={"scenario": "s"})
+        text = emit_report(report, "markdown-summary", tmp_path).read_text()
+        assert "| 0.02 | null | null | 0.9 | 1e-06 |" in text
 
     def test_unknown_format(self, report, tmp_path):
         with pytest.raises(ArgumentError):
@@ -318,3 +311,49 @@ class TestCli:
                          "--axis", "lambda", "--values", "0.02,0.05"]) == 0
         report = json.loads((out / "report.json").read_text())
         assert len(report["sweep"]) == 2
+
+    @pytest.mark.parametrize("overrides", [
+        {"system.h_s": [[0.5, 0], [0, -0.5]]},
+        {"require_dd": False, "schedule.mu": 5.0},
+    ], ids=["non-unit-gap-qubit", "failed-check-not-required"])
+    def test_sweep_rows_without_rates_are_null(self, tmp_path, capsys,
+                                               overrides):
+        # the same configs run through simulate with "rates": null
+        out = tmp_path / "s"
+        doc = small_doc(**{"run.sample_dt": 0.5,
+                           "run.substeps_per_period": 16}, **overrides)
+        cfg = self.write_config(tmp_path, doc)
+        assert cli_main(["sweep", "--config", cfg, "--out", str(out),
+                         "--axis", "lambda", "--values", "0.02,0.05"]) == 0
+        rows = json.loads((out / "report.json").read_text())["sweep"]
+        assert [row["value"] for row in rows] == [0.02, 0.05]
+        for row in rows:
+            assert row["xi"] is None and row["t_dec"] is None
+            assert 0.0 < row["retention"] <= 1.0
+        assert capsys.readouterr().out.count("xi=null, t_dec=null") == 2
+
+    @pytest.mark.parametrize("overrides, axis, values, field", [
+        ({}, "T", "0.1,2.0", "schedule.period"),
+        ({}, "N", "2,14", "reservoir.n_modes"),
+        ({"schedule": {"kind": "bangbang", "period": 0.25,
+                       "phases": [0.25, 0.75],
+                       "weights": [math.pi / 2, -math.pi / 2]}},
+         "mu", "1.0,2.0", "schedule.kind"),
+    ], ids=["period-guard", "dimension-guard", "mu-on-kicks"])
+    def test_sweep_rejects_a_bad_point_before_any_runs(
+            self, tmp_path, capsys, monkeypatch, overrides, axis, values,
+            field):
+        import decoshield.experiments
+
+        checked = []
+        real_check_dd = decoshield.experiments.check_dd
+        monkeypatch.setattr(decoshield.experiments, "check_dd",
+                            lambda *a, **kw: checked.append(a)
+                            or real_check_dd(*a, **kw))
+        out = tmp_path / "s"
+        cfg = self.write_config(tmp_path, small_doc(**overrides))
+        assert cli_main(["sweep", "--config", cfg, "--out", str(out),
+                         "--axis", axis, "--values", values]) == 1
+        assert field in capsys.readouterr().err
+        assert checked == []
+        assert not (out / "report.json").exists()

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from decoshield.control import SystemModel
 from decoshield.errors import ArgumentError
-from decoshield.reservoir import (FormFactor, discretize_modes,
-                                  glue_form_factor, make_form_factor,
-                                  pv_integral, spectral_function, validate_a2)
+from decoshield.reservoir import (discretize_modes, glue_form_factor,
+                                  make_form_factor, pv_integral,
+                                  spectral_function)
 
 from oracles import dawson_series
 
@@ -149,23 +148,6 @@ class TestModeDiscretization:
 
 
 class TestFormFactorValidation:
-    def test_default_family_passes(self):
-        report = validate_a2(default_ff(), SystemModel.qubit())
-        assert report.passed
-
-    def test_narrow_strip_fails(self):
-        ff = FormFactor(f=lambda p: p * math.exp(-0.5 * p * p), beta=1.0,
-                        r_max=1.0)
-        report = validate_a2(ff, SystemModel.qubit())
-        assert not report.strip_ok
-        assert report.evenness_ok
-
-    def test_odd_defective_profile_fails_evenness(self):
-        # for f = e^{-p^2/2}, p f(p) has slope 1 at 0+ and cannot extend evenly
-        report = validate_a2(make_form_factor("gaussian", beta=1.0),
-                             SystemModel.qubit())
-        assert not report.evenness_ok
-
     def test_unknown_registry_name(self):
         with pytest.raises(ArgumentError):
             make_form_factor("lorentzian", beta=1.0)

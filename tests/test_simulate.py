@@ -289,13 +289,3 @@ class TestComparison:
         assert report.deviations[0] < 1e-12
         assert report.sup_deviation < 1e-8
         assert report.final_retention == pytest.approx(1.0, abs=1e-8)
-
-    def test_bound_overlay_shape(self, reservoir):
-        ff, sf = reservoir
-        sched = ControlSchedule.sinusoidal(0.25, MU_STAR)
-        tm = TotalModel(SystemModel.qubit(), modeset(sf, ff, 2), 0.05, sched)
-        traj = evolve(tm, plus_state(), 1.0, 0.25, substeps_per_period=128)
-        report = compare_with_effective(traj, SystemModel.qubit(), sched,
-                                        lam=0.05, c_const=1.0, big_c_const=2.0)
-        assert report.bound_overlay.shape == traj.times.shape
-        assert np.all(np.diff(report.bound_overlay) >= 0)
