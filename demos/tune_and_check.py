@@ -1,8 +1,8 @@
 """Tune the sinusoidal drive amplitude and verify decoupling.
 
 A sinusoidal control with period T decouples the qubit from the
-reservoir exactly when the amplitude mu sits at a zero of the ladder
-zero mode. This script finds that amplitude by root bracketing, then
+reservoir exactly when the amplitude mu nulls the zero Fourier mode
+of the rotated coupling. This script finds that amplitude by root bracketing, then
 runs the decoupling check on the tuned schedule, a detuned one, and a
 two-kick bang-bang schedule for comparison.
 """

@@ -13,11 +13,9 @@ __version__ = "0.1.0"
 from .control import (DD_TOL, ControlSchedule, DDReport, FourierTable,
                       SystemModel, check_dd, cosine_profile,
                       effective_dynamics, fourier_modes, operator_norm,
-                      q_of_t, qka_bangbang_closed_form, tune_amplitude,
-                      vc_at)
+                      q_of_t, tune_amplitude, vc_at)
 from .errors import (ArgumentError, ConfigError, DecouplingViolationError,
-                     NumericError, ResourceError, TuneSearchError,
-                     UnsupportedModelError)
+                     NumericError, ResourceError, TuneSearchError)
 from .experiments import (ExperimentConfig, Report, emit_report,
                           run_experiment, sweep)
 from .reservoir import (FormFactor, ModeSet, SpectralFunction,
@@ -26,8 +24,7 @@ from .reservoir import (FormFactor, ModeSet, SpectralFunction,
                         spectral_function)
 from .simulate import (DeviationReport, TotalModel, Trajectory,
                        build_total_generator, compare_with_effective, evolve,
-                       jordan_wigner_annihilators, thermal_reservoir_state,
-                       trace_distance)
+                       jordan_wigner_annihilators, trace_distance)
 from .weak_coupling import (RateSummary, WeakCouplingGenerator,
                             corrected_propagate, decoherence_time,
                             level_shift, xi_rate)

@@ -22,7 +22,7 @@ from .control import (ControlSchedule, check_dd, fourier_modes, operator_norm,
 from .errors import (ArgumentError, ConfigError, DecouplingViolationError,
                      NumericError, ResourceError, TuneSearchError)
 from .experiments import (SWEEP_AXES, ExperimentConfig, Report,
-                          _compute_rates, _g6, _provenance, _reservoir,
+                          _compute_rates, _g6, _provenance,
                           emit_report, run_experiment, sweep)
 
 EXIT_OK = 0
@@ -117,8 +117,8 @@ def _cmd_fourier(args, cfg) -> int:
     table = fourier_modes(cfg.model, cfg.schedule)
     out = _out_dir(cfg)
     lines = ["k,a,norm"]
-    for (k, a) in sorted(table.ladder):
-        lines.append(f"{k},{a},{operator_norm(table.ladder[(k, a)]):.17g}")
+    for (k, w) in sorted(table.bohr):
+        lines.append(f"{k},{w:.17g},{operator_norm(table.bohr[(k, w)]):.17g}")
     (out / "fourier.csv").write_text("\n".join(lines) + "\n")
     print(f"cutoff K = {table.cutoff}, Parseval defect = "
           f"{table.parseval_defect:.3e}, zero mode = "
@@ -134,8 +134,7 @@ def _cmd_rates(args, cfg) -> int:
         raise DecouplingViolationError(
             f"rates require decoupling; zero mode {dd.zero_mode_norm:.3e}",
             zero_mode_norm=dd.zero_mode_norm)
-    _, sf = _reservoir(cfg)
-    summary = _compute_rates(cfg, sf)
+    summary = _compute_rates(cfg)
     report = Report(dd={"zero_mode_norm": dd.zero_mode_norm,
                         "passed": dd.passed},
                     rates=summary.as_dict(), runs={}, sweep=None,

@@ -27,8 +27,7 @@ import numpy as np
 import scipy.integrate
 import scipy.optimize
 
-from .errors import (ArgumentError, DecouplingViolationError, TuneSearchError,
-                     UnsupportedModelError)
+from .errors import ArgumentError, TuneSearchError
 
 __all__ = [
     "SIGMA_X",
@@ -43,7 +42,6 @@ __all__ = [
     "check_dd",
     "tune_amplitude",
     "fourier_modes",
-    "qka_bangbang_closed_form",
     "effective_dynamics",
     "commutation_defect",
     "cosine_profile",
@@ -273,13 +271,15 @@ def q_of_t(model: SystemModel, schedule: ControlSchedule, t: float) -> np.ndarra
     return _rotated(model.q, schedule, float(schedule.phase(t)))
 
 
-def _modes(op, schedule: ControlSchedule, ks, samples: int = 4096) -> np.ndarray:
+def _modes(op, schedule: ControlSchedule, ks) -> np.ndarray:
     """Fourier modes int_0^1 V_c(xT)* op V_c(xT) exp(-2 pi i k x) dx, k in ks.
 
     Only the scalar phases exp(-i phi dw) are transformed: smooth
     schedules by one FFT of the phase grid (uniform trapezoid rule,
     spectrally accurate for periodic integrands), kick schedules exactly
-    segment by segment, the phase being constant between kicks.
+    segment by segment, the phase being constant between kicks. The
+    smooth grid has at least 4096 points and more than 2 max|k|, so no
+    requested mode aliases onto another.
     """
     v, op_t, dw = _dir_basis(op, schedule.h_dir)
     ks = np.asarray(ks, dtype=int)
@@ -292,12 +292,49 @@ def _modes(op, schedule: ControlSchedule, ks, samples: int = 4096) -> np.ndarray
                                (np.exp(-w * x0) - np.exp(-w * x1)) / w)
             coeffs = coeffs + weights[:, None, None] * np.exp(-1j * phi * dw)
     else:
+        samples = max(4096, 1 << int(2 * np.abs(ks).max()).bit_length())
         phis = schedule.phase(np.linspace(0.0, schedule.period, samples,
                                           endpoint=False))
         ds, idx = np.unique(dw, return_inverse=True)
         spectra = np.fft.fft(np.exp(-1j * phis[:, None] * ds), axis=0) / samples
         coeffs = spectra[ks % samples][:, idx.reshape(dw.shape)]
     return np.einsum("ab,kbc,dc->kad", v, op_t * coeffs, v.conj())
+
+
+def _bohr_parts(model: SystemModel) -> dict:
+    """Bohr components Q_w = sum_{e' - e = w} P_e Q P_e' of the coupling.
+
+    The projectors P_e come from ``eigh(H_s)`` with eigenvalues within
+    1e-10 grouped, and Bohr frequencies within 1e-10 are merged. Keys are
+    the frequencies w whose component does not vanish.
+    """
+    e, v = np.linalg.eigh(model.h_s)
+    cuts = np.flatnonzero(np.diff(e) > 1e-10) + 1
+    levels = [(float(es[0]), vs @ vs.conj().T)
+              for es, vs in zip(np.split(e, cuts), np.split(v, cuts, axis=1))]
+    floor = 1e-14 * max(1.0, operator_norm(model.q))
+    parts = {}
+    for e_left, p_left in levels:
+        for e_right, p_right in levels:
+            block = p_left @ model.q @ p_right
+            if operator_norm(block) <= floor:
+                continue
+            w = e_right - e_left
+            w = next((u for u in parts if abs(u - w) <= 1e-10), w)
+            parts[w] = parts.get(w, 0) + block
+    return parts
+
+
+def _bohr_modes(model: SystemModel, schedule: ControlSchedule, ks) -> dict:
+    """(k, w) -> Fourier mode k of the rotated Bohr component Q_w.
+
+    H_dir commutes with H_s, so the rotation keeps each Q_w in its own
+    block; the mode (k, w) sits at the comb frequency k/T + w.
+    """
+    ks = np.asarray(ks, dtype=int)
+    return {(k, w): mode
+            for w, part in _bohr_parts(model).items()
+            for k, mode in zip(ks.tolist(), _modes(part, schedule, ks))}
 
 
 def _window_integral(schedule: ControlSchedule, dw, t0: float) -> np.ndarray:
@@ -416,14 +453,13 @@ def tune_amplitude(model: SystemModel, schedule_factory, bracket,
 
 @dataclass(frozen=True)
 class FourierTable:
-    """Fourier modes of Q(t) and the two-level ladder modes."""
+    """Fourier modes of Q(t) and of its rotated Bohr components."""
 
     cutoff: int
     modes: dict            # k -> matrix, |k| <= cutoff
-    ladder: dict           # (k, a) -> matrix, a in {-1, +1}
+    bohr: dict             # (k, w) -> matrix, |k| <= cutoff, w a Bohr frequency
     tail_bound: float
     parseval_defect: float
-    period: float
 
     def mode(self, k: int) -> np.ndarray:
         return self.modes[k]
@@ -432,41 +468,30 @@ class FourierTable:
         return operator_norm(self.modes[0])
 
 
-def _ladder_parts(model: SystemModel):
-    """Upper/lower triangular coupling parts in the H_s eigenbasis (d=2)."""
-    if model.dim != 2:
-        raise UnsupportedModelError("ladder modes are a two-level construct")
-    q = model.q
-    q_minus = np.array([[0, q[0, 1]], [0, 0]], dtype=complex)   # lowering side
-    q_plus = np.array([[0, 0], [q[1, 0], 0]], dtype=complex)
-    return {-1: q_minus, +1: q_plus}
-
-
 def fourier_modes(model: SystemModel, schedule: ControlSchedule,
-                  K: Optional[int] = None, samples: int = 4096,
-                  tail_tol: float = 1e-12) -> FourierTable:
+                  K: Optional[int] = None) -> FourierTable:
     """Fourier transform of the interaction-picture coupling.
 
     In the H_dir eigenbasis only the scalar phases exp(-i phi(t) dw) are
-    transformed: by one FFT of ``samples`` phase-grid points for smooth
-    schedules (spectrally accurate for periodic integrands) and exactly,
-    segment by segment, for kick schedules. With ``K=None`` the cutoff
-    grows until the mode-norm tail drops below ``tail_tol``. The Parseval
-    check compares the mode power with ||Q||_F^2, the time average of
-    ||Q(t)||_F^2 (V_c is unitary).
+    transformed: by one FFT of a phase grid for smooth schedules
+    (spectrally accurate for periodic integrands) and exactly, segment by
+    segment, for kick schedules. With ``K=None`` a smooth table grows
+    until three consecutive rings hold less than 1e-12 of mode power and
+    a kick table stops at |k| = 64. The Parseval check compares the mode power with
+    ||Q||_F^2, the time average of ||Q(t)||_F^2 (V_c is unitary); for
+    kicks, whose modes decay like 1/k, the tail bound is that Parseval
+    remainder.
     """
     if K is not None and K < 1:
         raise ArgumentError("K must be >= 1")
     if K is not None:
         k_max = K
     elif schedule.kind == "bangbang":
-        # mode norms decay like 1/k, so the ring-power tail criterion can
-        # never trigger; cap the table and report the analytic 1/K tail
-        k_max = 64
+        k_max = 64      # 1/k modes never meet the ring-power criterion
     else:
-        k_max = samples // 2 - 1
+        k_max = 2047    # the largest |k| a 4096-point phase grid resolves
     ks = np.arange(-k_max, k_max + 1)
-    every = dict(zip(ks.tolist(), _modes(model.q, schedule, ks, samples)))
+    every = dict(zip(ks.tolist(), _modes(model.q, schedule, ks)))
 
     modes = {0: every[0]}
     cutoff = 0
@@ -476,53 +501,17 @@ def fourier_modes(model: SystemModel, schedule: ControlSchedule,
         modes[cutoff], modes[-cutoff] = every[cutoff], every[-cutoff]
         recent.append(float(np.sum(np.abs(modes[cutoff]) ** 2)
                             + np.sum(np.abs(modes[-cutoff]) ** 2)))
-        if K is None and len(recent) >= 3 and sum(recent[-3:]) < tail_tol:
+        if K is None and len(recent) >= 3 and sum(recent[-3:]) < 1e-12:
             break
-    # kicks: sum_{k>K} C/k^2 ~ C/K with C = K^2 * ring(K)
-    tail_bound = float(recent[-1] * cutoff if schedule.kind == "bangbang"
-                       else sum(recent[-3:]))
 
+    power = float(np.sum(np.abs(model.q) ** 2))
     mode_power = float(sum(np.sum(np.abs(m) ** 2) for m in modes.values()))
-    parseval_defect = abs(mode_power - float(np.sum(np.abs(model.q) ** 2)))
-
-    ladder = {}
-    if model.dim == 2:
-        ring = np.arange(-cutoff, cutoff + 1)
-        for a, qa in _ladder_parts(model).items():
-            for k, mode in zip(ring.tolist(), _modes(qa, schedule, ring, samples)):
-                ladder[(k, a)] = mode
-    return FourierTable(cutoff=cutoff, modes=modes, ladder=ladder,
-                        tail_bound=tail_bound, parseval_defect=float(parseval_defect),
-                        period=schedule.period)
-
-
-def qka_bangbang_closed_form(model: SystemModel, schedule: ControlSchedule,
-                             k: int, a: int) -> np.ndarray:
-    """Closed-form ladder Fourier mode for kick schedules.
-
-    For k != 0 the mode is -(i / 2 pi k) * sum_l exp(-2 pi i alpha_l k) dQ_l,
-    with dQ_l the jump of the rotated ladder part across kick l. The k = 0
-    mode vanishes when the decoupling condition holds.
-    """
-    if schedule.kind != "bangbang":
-        raise ArgumentError("closed form applies to bang-bang schedules only")
-    if a not in (-1, +1):
-        raise ArgumentError("a must be +1 or -1")
-    qa = _ladder_parts(model)[a]
-    if k == 0:
-        zm = operator_norm(_modes(model.q, schedule, [0])[0])
-        if zm >= DD_TOL:
-            raise DecouplingViolationError(
-                "k=0 closed form requires the decoupling condition",
-                zero_mode_norm=zm)
-        return np.zeros_like(qa)
-    segs = schedule.segments()
-    total = np.zeros_like(qa)
-    for (_, alpha, phi), (_, _, phi_next) in zip(segs[:-1], segs[1:]):
-        # kick l sits at the segment boundary alpha
-        jump = _rotated(qa, schedule, phi_next) - _rotated(qa, schedule, phi)
-        total = total + np.exp(-2j * np.pi * alpha * k) * jump
-    return -1j / (2 * np.pi * k) * total
+    tail_bound = (max(0.0, power - mode_power) if schedule.kind == "bangbang"
+                  else sum(recent[-3:]))
+    bohr = _bohr_modes(model, schedule, np.arange(-cutoff, cutoff + 1))
+    return FourierTable(cutoff=cutoff, modes=modes, bohr=bohr,
+                        tail_bound=float(tail_bound),
+                        parseval_defect=abs(mode_power - power))
 
 
 def effective_dynamics(model: SystemModel, schedule: ControlSchedule,

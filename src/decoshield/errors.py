@@ -5,10 +5,6 @@ class ArgumentError(ValueError):
     """Bad argument (shape mismatch, non-finite entries, invalid range)."""
 
 
-class UnsupportedModelError(ArgumentError):
-    """Operation only defined for a restricted model class (e.g. a qubit)."""
-
-
 class DecouplingViolationError(RuntimeError):
     """A precondition requiring the decoupling condition was not met."""
 

@@ -24,9 +24,8 @@ import scipy
 
 from . import __version__
 from .control import (ControlSchedule, DDReport, SystemModel, check_dd,
-                      commutation_defect, fourier_modes, operator_norm)
-from .errors import (ArgumentError, ConfigError, DecouplingViolationError,
-                     UnsupportedModelError)
+                      commutation_defect, operator_norm)
+from .errors import ArgumentError, ConfigError, DecouplingViolationError
 from .reservoir import (discretize_modes, make_form_factor, spectral_function)
 from .simulate import (DIMENSION_GUARD, DeviationReport, TotalModel,
                        Trajectory, compare_with_effective, evolve)
@@ -286,25 +285,22 @@ def _run_dict(traj: Trajectory, dev: DeviationReport) -> dict:
     }
 
 
-def _reservoir(cfg: ExperimentConfig):
-    """Form factor and spectral function of the scenario's reservoir."""
-    ff = make_form_factor(cfg.form_factor_name, cfg.beta,
-                          **cfg.form_factor_params)
-    return ff, spectral_function(ff)
+def _form_factor(cfg: ExperimentConfig):
+    """Form factor of the scenario's reservoir."""
+    return make_form_factor(cfg.form_factor_name, cfg.beta,
+                            **cfg.form_factor_params)
 
 
-def _compute_rates(cfg: ExperimentConfig, sf) -> RateSummary:
+def _compute_rates(cfg: ExperimentConfig) -> RateSummary:
     """Second-order rate summary of a driven scenario."""
-    table = fourier_modes(cfg.model, cfg.schedule)
-    gen = level_shift(cfg.model, table, sf, cfg.schedule.period, cfg.lam,
-                      dd_tol=cfg.dd_tol,
-                      control_strength=cfg.schedule.strength())
+    sf = spectral_function(_form_factor(cfg))
+    gen = level_shift(cfg.model, cfg.schedule, sf, cfg.lam, dd_tol=cfg.dd_tol)
     return decoherence_time(gen, c_const=cfg.c_const)
 
 
-def _simulate_pair(cfg: ExperimentConfig, ff, sf):
+def _simulate_pair(cfg: ExperimentConfig):
     """DD-on and DD-off trajectories with their deviation reports."""
-    modes = discretize_modes(sf, ff, cfg.n_modes, cfg.p_max)
+    modes = discretize_modes(_form_factor(cfg), cfg.n_modes, cfg.p_max)
     results = {}
     for label, sched in (("on", cfg.schedule), ("off", None)):
         if label == "on" and cfg.schedule is None:
@@ -323,11 +319,9 @@ def _run_point(cfg: ExperimentConfig):
 
     Returns the DDReport (None when undriven), the RateSummary and the
     ``_simulate_pair`` results. The rates are None when the run is
-    undriven, when the check fails and decoupling is not required, or
-    when the model has no second-order rates. Raises
-    DecouplingViolationError when decoupling is required and fails.
+    undriven or when the check fails and decoupling is not required.
+    Raises DecouplingViolationError when decoupling is required and fails.
     """
-    ff, sf = _reservoir(cfg)
     dd = summary = None
     if cfg.schedule is not None:
         dd = check_dd(cfg.model, cfg.schedule, tol=cfg.dd_tol)
@@ -337,11 +331,8 @@ def _run_point(cfg: ExperimentConfig):
                 f"schedule fails: zero mode {dd.zero_mode_norm:.3e}",
                 zero_mode_norm=dd.zero_mode_norm)
         if dd.passed:
-            try:
-                summary = _compute_rates(cfg, sf)
-            except UnsupportedModelError:
-                pass        # rates are defined for the unit-gap qubit only
-    return dd, summary, _simulate_pair(cfg, ff, sf)
+            summary = _compute_rates(cfg)
+    return dd, summary, _simulate_pair(cfg)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Report:

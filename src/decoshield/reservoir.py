@@ -164,7 +164,7 @@ class ModeSet:
         return len(self.frequencies)
 
 
-def discretize_modes(G, ff: FormFactor, N: int, p_max: float) -> ModeSet:
+def discretize_modes(ff: FormFactor, N: int, p_max: float) -> ModeSet:
     """Midpoint grid on (0, p_max] with vacuum spectral weights.
 
     |f_j|^2 = Delta * 4 pi w_j^2 f(w_j)^2; thermal effects enter through

@@ -34,7 +34,6 @@ __all__ = [
     "DeviationReport",
     "jordan_wigner_annihilators",
     "build_total_generator",
-    "thermal_reservoir_state",
     "evolve",
     "compare_with_effective",
     "trace_distance",
@@ -117,14 +116,6 @@ def build_total_generator(tm: TotalModel, t: float) -> np.ndarray:
     if tm.schedule is not None and tm.schedule.kind == "smooth":
         h = h + np.kron(tm.schedule.h_c(t), np.eye(nr))
     return h
-
-
-def thermal_reservoir_state(modes: ModeSet) -> np.ndarray:
-    """Product Gibbs state, diag(1 - n_j, n_j) per mode."""
-    rho = np.array([[1.0]])
-    for n in modes.occupations:
-        rho = np.kron(rho, np.diag([1.0 - n, n]))
-    return rho
 
 
 @dataclass

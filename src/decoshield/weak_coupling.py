@@ -1,11 +1,14 @@
 """Second-order effective generator, rate sums and corrected propagation.
 
-For the qubit with gap 2, the second-order generator is a Lindblad-form
-superoperator whose jump operators are the ladder Fourier modes of the
-rotated coupling and whose rates/shifts are spectral-weight evaluations
-at the shifted comb frequencies k/T + 2a. Its Hamiltonian part defines a
-phase correction commuting with the system Hamiltonian, so the corrected
-reference dynamics preserves all coherence moduli exactly.
+The rotated coupling splits into Bohr-Fourier modes Q_{k,w}: Fourier
+mode k of the rotated Bohr component Q_w = sum_{e'-e=w} P_e Q P_e' of
+H_s (the Davies construction). The second-order generator is a
+Lindblad-form superoperator whose jump operators are the modes with
+k != 0 and whose rates and shifts are spectral-weight evaluations at the
+comb frequencies k/T + w, summed over every comb point in the support of
+the spectral weight. Its Hamiltonian part defines a phase correction
+commuting with the system Hamiltonian, so the corrected reference
+dynamics preserves all coherence moduli exactly.
 """
 
 from __future__ import annotations
@@ -15,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import DD_TOL, FourierTable, SystemModel, operator_norm
-from .errors import ArgumentError, DecouplingViolationError, UnsupportedModelError
+from .control import (DD_TOL, ControlSchedule, SystemModel, _bohr_modes,
+                      operator_norm)
+from .errors import DecouplingViolationError
 from .reservoir import pv_integral
 
 __all__ = [
@@ -32,121 +36,89 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WeakCouplingGenerator:
-    """Assembled second-order generator with its ingredient tables."""
+    """Assembled second-order generator with its summed comb terms."""
 
     model: SystemModel
     a2: np.ndarray                    # d^2 x d^2, row-major vec, with lambda^2
     s_matrix: np.ndarray              # Delta(B) = B S - S B, also with lambda^2
-    dissipator_weights: dict          # (k, a) -> pi G(k/T + 2a)
-    pv_coefficients: dict             # (k, a) -> principal value at k/T + 2a
-    jump_norms: dict                  # (k, a) -> ||Q_{k,a}||
-    g_values: dict                    # (k, a) -> G(k/T + 2a)
-    k_used: int
-    tail_bound: float
+    terms: dict                       # (k, w) -> (Q_{k,w}, G(x), PV(x)), x = k/T + w
+    k_used: int                       # largest |k| summed
     lam: float
     period: float
     control_strength: float = float("nan")
 
 
-def _require_qubit(model: SystemModel):
-    if model.dim != 2:
-        raise UnsupportedModelError(
-            f"second-order assembly is defined for d=2, got d={model.dim}")
-    target = np.diag([1.0, -1.0])
-    if operator_norm(model.h_s - target) > 1e-10:
-        raise UnsupportedModelError(
-            "second-order assembly assumes H_s = diag(1, -1)")
+def assemble_generator(terms: dict, lam: float) -> np.ndarray:
+    """Assemble the generator from (jump operator, G, PV) terms.
 
-
-def assemble_generator(ladder: dict, diss_weights: dict, pv_weights: dict,
-                       lam: float, dim: int = 2) -> np.ndarray:
-    """Assemble the generator from jump operators and weight tables.
-
-    Returns the d^2 x d^2 matrix acting on row-major vec(B). Shared by
-    the production path and by regularized-resolvent test oracles that
-    supply their own weights.
+    Returns the d^2 x d^2 matrix acting on row-major vec(B) of
+    -(i lam^2 / 2) sum_t [pi G_t (2 Q* B Q - {Q*Q, B}) + i PV_t [B, Q*Q]]
+    over a nonempty term table. Shared by the production path and by
+    regularized-resolvent test oracles that supply their own weights.
     """
-    d2 = dim * dim
-    a2 = np.zeros((d2, d2), dtype=complex)
-    identity = np.eye(dim)
-    for key, qk in ladder.items():
-        if key not in diss_weights:
-            continue
-        w = diss_weights[key]
-        pv = pv_weights[key]
-        qdagq = qk.conj().T @ qk
-        sandwich = np.kron(qk.conj().T, qk.T)          # B -> Q* B Q
-        left_qq = np.kron(qdagq, identity)             # B -> Q*Q B
-        right_qq = np.kron(identity, qdagq.T)          # B -> B Q*Q
-        dissipative = w * (2.0 * sandwich - left_qq - right_qq)
-        hamiltonian = 1j * pv * (right_qq - left_qq)
-        a2 += -0.5j * lam * lam * (dissipative + hamiltonian)
-    return a2
+    qs = np.array([qk for qk, _, _ in terms.values()])
+    diss = math.pi * np.array([g for _, g, _ in terms.values()])
+    pv = np.array([s for _, _, s in terms.values()])
+    d = qs.shape[1]
+    qdagq = np.einsum("tji,tjk->tik", qs.conj(), qs)
+    # sum_t pi G_t kron(Q_t*, Q_t^T): B -> Q* B Q
+    sandwich = np.einsum("t,tji,tlk->ikjl", diss, qs.conj(), qs)
+    left = np.einsum("t,tij->ij", diss + 1j * pv, qdagq)    # B -> (.) B
+    right = np.einsum("t,tij->ij", diss - 1j * pv, qdagq)   # B -> B (.)
+    identity = np.eye(d)
+    return -0.5j * lam * lam * (2.0 * sandwich.reshape(d * d, d * d)
+                                - np.kron(left, identity)
+                                - np.kron(identity, right.T))
 
 
-def level_shift(model: SystemModel, table: FourierTable, G, T: float,
-                lam: float, dd_tol: float = DD_TOL,
-                tail_tol: float = 1e-12,
-                control_strength: float = float("nan")) -> WeakCouplingGenerator:
-    """Assemble the second-order generator for a decoupled qubit schedule.
+def level_shift(model: SystemModel, schedule: ControlSchedule, G,
+                lam: float, dd_tol: float = DD_TOL) -> WeakCouplingGenerator:
+    """Assemble the second-order generator of a decoupled schedule.
 
-    The k-sum runs over the ladder modes in ``table`` (k != 0) and is
-    truncated once the combined weight of a |k| ring falls below
-    ``tail_tol``. Raises if the zero mode of the coupling has not been
+    Sums every Bohr-Fourier mode Q_{k,w} with k != 0 whose comb
+    frequency x = k/T + w lies in the support |x| <= ``G.p_max`` of the
+    spectral weight: the dissipator weight pi G(x) and the principal
+    value PV(x) (the level shift) of each such term. Comb points outside
+    the support carry no rate and are left out of the shift as well. The
+    principal value is only integrated for modes with ||Q_{k,w}||^2 >
+    1e-16. Raises if the zero mode of the coupling has not been
     decoupled.
     """
-    _require_qubit(model)
-    if abs(T - table.period) > 1e-12 * max(1.0, T):
-        raise ArgumentError("table period does not match T")
-    zero_norm = table.zero_mode_norm()
+    T = schedule.period
+    spread = float(np.ptp(np.linalg.eigvalsh(model.h_s)))
+    k_max = int(math.floor((G.p_max + spread) * T))
+    modes = _bohr_modes(model, schedule, np.arange(-k_max, k_max + 1))
+    d = model.dim
+    zero_norm = operator_norm(sum((m for (k, _), m in modes.items() if k == 0),
+                                  np.zeros((d, d))))
     if zero_norm >= dd_tol:
         raise DecouplingViolationError(
             f"decoupling condition violated: ||Q_hat(0)|| = {zero_norm:.3e}",
             zero_mode_norm=zero_norm)
 
-    diss, pvs, norms, gvals = {}, {}, {}, {}
-    tail = 0.0
-    k_used = 0
-    for k in range(1, table.cutoff + 1):
-        ring = 0.0
-        entries = []
-        for sk in (k, -k):
-            for a in (-1, +1):
-                qk = table.ladder[(sk, a)]
-                nq = operator_norm(qk)
-                x = sk / T + 2.0 * a
-                gx = float(G(x))
-                pv = pv_integral(G, x) if nq * nq > 1e-16 else 0.0
-                entries.append(((sk, a), math.pi * gx, pv, nq, gx))
-                ring += nq * nq * (math.pi * gx + abs(pv))
-        tail = ring
-        if ring < tail_tol and k_used >= 1:
-            break
-        for key, w, pv, nq, gx in entries:
-            diss[key] = w
-            pvs[key] = pv
-            norms[key] = nq
-            gvals[key] = gx
-        k_used = k
-    a2 = assemble_generator(table.ladder, diss, pvs, lam, dim=2)
-
-    s = np.zeros((2, 2), dtype=complex)
-    for key, pv in pvs.items():
-        qk = table.ladder[key]
+    terms = {}
+    s = np.zeros((d, d), dtype=complex)
+    for (k, w), qk in modes.items():
+        x = k / T + w
+        if k == 0 or abs(x) > G.p_max:
+            continue
+        nq = operator_norm(qk)
+        pv = pv_integral(G, x) if nq * nq > 1e-16 else 0.0
+        terms[(k, w)] = (qk, float(G(x)), pv)
         s += 0.5 * lam * lam * pv * (qk.conj().T @ qk)
-
+    a2 = (assemble_generator(terms, lam) if terms
+          else np.zeros((d * d, d * d), dtype=complex))
     return WeakCouplingGenerator(
-        model=model, a2=a2, s_matrix=s,
-        dissipator_weights=diss, pv_coefficients=pvs, jump_norms=norms,
-        g_values=gvals, k_used=k_used, tail_bound=float(tail), lam=lam,
-        period=T, control_strength=control_strength)
+        model=model, a2=a2, s_matrix=s, terms=terms,
+        k_used=max((abs(k) for k, _ in terms), default=0), lam=lam,
+        period=T, control_strength=schedule.strength())
 
 
 def xi_rate(gen: WeakCouplingGenerator) -> float:
-    """Filtered rate sum over ladder modes, weighted by |G|^2."""
+    """Filtered rate sum sum ||Q_{k,w}||^2 |G(k/T + w)|^2 over the terms."""
     total = 0.0
-    for key, nq in gen.jump_norms.items():
-        total += nq * nq * abs(gen.g_values[key]) ** 2
+    for qk, g, _ in gen.terms.values():
+        total += operator_norm(qk) ** 2 * abs(g) ** 2
     return float(total)
 
 

@@ -70,6 +70,30 @@ def regularized_weights(G, x, eps_pair=(1e-2, 1e-3)):
     return diss, shift
 
 
+def gaussian_p_weight(p, beta=1.0):
+    """G(p) = 4 pi p^6 exp(-p^2) expit(beta p)^2 of f(p) = p exp(-p^2/2)."""
+    return (4.0 * math.pi * p**6 * math.exp(-p * p)
+            / (1.0 + math.exp(-beta * p)) ** 2)
+
+
+def generator_by_terms(terms, lam):
+    """Second-order generator summed term by term from kron products.
+
+    Each (Q, G, PV) term adds -(i lam^2 / 2) [pi G (2 Q* B Q - {Q*Q, B})
+    + i PV [B, Q*Q]] acting on row-major vec(B).
+    """
+    a2 = 0
+    for q, g, pv in terms.values():
+        q = np.asarray(q, dtype=complex)
+        eye = np.eye(q.shape[0])
+        qq = q.conj().T @ q
+        sandwich = np.kron(q.conj().T, q.T)
+        left, right = np.kron(qq, eye), np.kron(eye, qq.T)
+        a2 = a2 - 0.5j * lam * lam * (math.pi * g * (2 * sandwich - left - right)
+                                      + 1j * pv * (right - left))
+    return a2
+
+
 def linear_r2(xs, ys):
     """R^2 of a least-squares line through the origin."""
     xs = np.asarray(xs, float)
@@ -164,3 +188,48 @@ def commutator_superop(a):
     a = np.asarray(a, dtype=complex)
     eye = np.eye(a.shape[0])
     return np.kron(a, eye) - np.kron(eye, a.T)
+
+
+def thermal_reservoir_state(modes):
+    """Product Gibbs state, diag(1 - n_j, n_j) per mode."""
+    rho = np.array([[1.0]])
+    for n in modes.occupations:
+        rho = np.kron(rho, np.diag([1.0 - n, n]))
+    return rho
+
+
+def bohr_component(h_s, q, w, tol=1e-10):
+    """Q_w = sum of v_i v_i* Q v_j v_j* over eigenpairs with e_j - e_i = w."""
+    e, v = np.linalg.eigh(np.asarray(h_s, dtype=complex))
+    q = np.asarray(q, dtype=complex)
+    out = np.zeros_like(q)
+    for i in range(len(e)):
+        for j in range(len(e)):
+            if abs(e[j] - e[i] - w) <= tol:
+                out += np.outer(v[:, i], v[:, i].conj()) @ q @ np.outer(
+                    v[:, j], v[:, j].conj())
+    return out
+
+
+def qka_bangbang_closed_form(model, schedule, k, w):
+    """Closed-form Bohr-Fourier mode Q_{k,w} of a kick schedule, k != 0.
+
+    Q_{k,w} = -(i / 2 pi k) * sum_l exp(-2 pi i alpha_l k) dQ_l, with dQ_l
+    the jump of V* Q_w V, V = expm(i phi H_dir), across kick l at phase
+    alpha_l, where phi steps by the kick weight c_l.
+    """
+    if k == 0:
+        raise ValueError("the closed form holds for k != 0")
+    qw = bohr_component(model.h_s, model.q, w)
+    h_dir = np.asarray(schedule.h_dir, dtype=complex)
+
+    def rotated(phi):
+        u = scipy.linalg.expm(1j * phi * h_dir)
+        return u.conj().T @ qw @ u
+
+    phis = np.concatenate(([0.0], np.cumsum(schedule.kick_weights)))
+    total = np.zeros_like(qw)
+    for alpha, before, after in zip(schedule.kick_phases, phis[:-1], phis[1:]):
+        total += np.exp(-2j * np.pi * alpha * k) * (rotated(after)
+                                                    - rotated(before))
+    return -1j / (2 * np.pi * k) * total

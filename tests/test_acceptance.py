@@ -14,19 +14,19 @@ import pytest
 import decoshield
 from decoshield.control import (ControlSchedule, SystemModel, check_dd,
                                 effective_dynamics, fourier_modes,
-                                operator_norm, qka_bangbang_closed_form,
-                                tune_amplitude)
+                                operator_norm, tune_amplitude)
 from decoshield.experiments import ExperimentConfig, run_experiment, sweep
 from decoshield.reservoir import (discretize_modes, make_form_factor,
                                   spectral_function)
 from decoshield.simulate import (TotalModel, build_total_generator, evolve,
-                                 jordan_wigner_annihilators,
-                                 thermal_reservoir_state, trace_distance)
+                                 jordan_wigner_annihilators, trace_distance)
 from decoshield.weak_coupling import (assemble_generator, corrected_propagate,
                                       level_shift, xi_rate)
 
 from oracles import (bessel_j_series, commutator_superop, linear_r2,
-                     ordered_propagator, partial_trace, regularized_weights)
+                     ordered_propagator, partial_trace,
+                     qka_bangbang_closed_form, regularized_weights,
+                     thermal_reservoir_state)
 
 MU_STAR = 7.554982305222015
 
@@ -106,7 +106,7 @@ def test_03_fourier_tables():
     assert table.parseval_defect < 1e-8
     for k in range(1, 9):
         expect = abs(bessel_j_series(k, MU_STAR / math.pi))
-        assert abs(operator_norm(table.ladder[(k, -1)]) - expect) < 1e-6
+        assert abs(operator_norm(table.bohr[(k, -2.0)]) - expect) < 1e-6
 
     sched = two_kick()
     segs = sched.segments()
@@ -115,7 +115,7 @@ def test_03_fourier_tables():
     products = []
     for k in range(1, 51):
         for sign in (1, -1):
-            closed = qka_bangbang_closed_form(model, sched, sign * k, -1)
+            closed = qka_bangbang_closed_form(model, sched, sign * k, -2.0)
 
             def integrand(x):
                 phi = float(sched.phase(x * sched.period))
@@ -129,7 +129,7 @@ def test_03_fourier_tables():
                                              x0, x1, epsabs=1e-12)
                 total += re + 1j * im
             assert abs(closed[0, 1] - total) < 1e-6 * max(abs(total), 1e-3)
-        nrm = operator_norm(qka_bangbang_closed_form(model, sched, k, -1))
+        nrm = operator_norm(qka_bangbang_closed_form(model, sched, k, -2.0))
         products.append((k, k * nrm))
     # 1/|k| scaling: k * norm is exactly constant on the support (odd k)
     support = [p for k, p in products if k % 2 == 1]
@@ -144,19 +144,17 @@ def test_04_level_shift_matches_regularized_resolvent():
     T = 0.5
     sched = ControlSchedule.sinusoidal(T, MU_STAR)
     sf = spectral_function(make_form_factor("gaussian-p", beta=1.0))
-    table = fourier_modes(model, sched)
-    gen = level_shift(model, table, sf, T, 0.05)
+    gen = level_shift(model, sched, sf, 0.05)
 
-    assert all(k != 0 for k, _ in gen.dissipator_weights)
-    gen_neg = level_shift(model, table, sf, T, -0.05)
+    assert all(k != 0 for k, _ in gen.terms)
+    gen_neg = level_shift(model, sched, sf, -0.05)
     np.testing.assert_array_equal(gen.a2, gen_neg.a2)
 
-    diss, pvs = {}, {}
-    for (k, a) in gen.dissipator_weights:
-        d, s = regularized_weights(sf, k / T + 2.0 * a)
-        diss[(k, a)] = d
-        pvs[(k, a)] = s
-    oracle = assemble_generator(table.ladder, diss, pvs, 0.05, dim=2)
+    terms = {}
+    for (k, w), (qk, _, _) in gen.terms.items():
+        d, s = regularized_weights(sf, k / T + w)
+        terms[(k, w)] = (qk, d / math.pi, s)
+    oracle = assemble_generator(terms, 0.05)
     scale = np.abs(gen.a2).max()
     assert scale > 0
     assert np.abs(oracle - gen.a2).max() < 1e-4 * scale
@@ -167,8 +165,7 @@ def test_05_phase_correction_structure():
     model = SystemModel.qubit()
     T = 0.5
     sf = spectral_function(make_form_factor("gaussian-p", beta=1.0))
-    gen = level_shift(model, fourier_modes(
-        model, ControlSchedule.sinusoidal(T, MU_STAR)), sf, T, 0.05)
+    gen = level_shift(model, ControlSchedule.sinusoidal(T, MU_STAR), sf, 0.05)
     # Delta(B) = B S - S B = -[S, B], built here from the shift matrix S
     s = gen.s_matrix
     delta = -commutator_superop(s)
@@ -190,11 +187,10 @@ def test_06_exact_simulator_ground_truth():
     start = time.perf_counter()
     model = SystemModel.qubit()
     ff = make_form_factor("gaussian-p", beta=1.0)
-    sf = spectral_function(ff)
 
     # decoupled coupling: reduced dynamics is exactly the reference
     sched = ControlSchedule.sinusoidal(0.1, MU_STAR)
-    modes = discretize_modes(sf, ff, 3, 3.0)
+    modes = discretize_modes(ff, 3, 3.0)
     tm = TotalModel(model, modes, 0.0, sched)
     traj = evolve(tm, plus_state(), 1.0, 0.1, substeps_per_period=256)
     for t, rho in zip(traj.times, traj.reduced_states):
@@ -202,7 +198,7 @@ def test_06_exact_simulator_ground_truth():
         assert trace_distance(rho, ref) < 1e-8
 
     # single mode vs dense time-ordered integration
-    modes1 = discretize_modes(sf, ff, 1, 3.0)
+    modes1 = discretize_modes(ff, 1, 3.0)
     tm1 = TotalModel(model, modes1, 0.3, sched)
     traj1 = evolve(tm1, plus_state(), 0.6, 0.2, substeps_per_period=4096)
     rho_full = np.kron(plus_state(), thermal_reservoir_state(modes1))
@@ -222,7 +218,7 @@ def test_06_exact_simulator_ground_truth():
             assert operator_norm(ai @ aj + aj @ ai) < 1e-12
 
     # thermal occupations
-    modes6 = discretize_modes(sf, ff, 6, 3.0)
+    modes6 = discretize_modes(ff, 6, 3.0)
     rho_r = thermal_reservoir_state(modes6)
     for aj, n in zip(jordan_wigner_annihilators(6), modes6.occupations):
         got = np.trace(rho_r @ aj.conj().T @ aj).real
@@ -235,9 +231,7 @@ def test_07_suppression_on_default_scenario():
     cfg = ExperimentConfig.from_file(
         decoshield.scenario_path("spin-fermion-sinusoidal"))
     from decoshield.experiments import _simulate_pair
-    ff = make_form_factor(cfg.form_factor_name, cfg.beta,
-                          **cfg.form_factor_params)
-    results = _simulate_pair(cfg, ff, spectral_function(ff))
+    results = _simulate_pair(cfg)
     traj_on, dev_on = results["on"]
     _, dev_off = results["off"]
 
@@ -269,8 +263,8 @@ def test_09_bangbang_rate_shape():
     T = 1.0
     sched = two_kick(period=T)
     sf = spectral_function(make_form_factor("gaussian-p", beta=1.0))
-    table = fourier_modes(model, sched, K=32)
-    gen = level_shift(model, table, sf, T, 0.05, tail_tol=0.0)
+    gen = level_shift(model, sched, sf, 0.05)
+    norms = {key: operator_norm(qk) for key, (qk, _, _) in gen.terms.items()}
 
     xs, ys = [], []
     for k in range(1, 16, 2):
@@ -279,17 +273,17 @@ def test_09_bangbang_rate_shape():
                       + float(sf(-k / T + 2.0)) ** 2
                       + float(sf(-k / T - 2.0)) ** 2) / k**2
         data_term = sum(
-            gen.jump_norms[(sk, a)] ** 2 * gen.g_values[(sk, a)] ** 2
-            for sk in (k, -k) for a in (-1, 1)
-            if (sk, a) in gen.jump_norms)
+            norms[(sk, w)] ** 2 * gen.terms[(sk, w)][1] ** 2
+            for sk in (k, -k) for w in (-2.0, 2.0)
+            if (sk, w) in gen.terms)
         xs.append(model_term)
         ys.append(data_term)
     assert max(ys) > 0
     assert linear_r2(xs, ys) > 0.999
     # the per-mode terms assemble to the reported rate
     assert xi_rate(gen) == pytest.approx(
-        sum(gen.jump_norms[key] ** 2 * gen.g_values[key] ** 2
-            for key in gen.jump_norms), rel=1e-12)
+        sum(norms[key] ** 2 * gen.terms[key][1] ** 2 for key in norms),
+        rel=1e-12)
     assert time.perf_counter() - start < 30.0
 
 

@@ -3,13 +3,14 @@ import pytest
 
 from decoshield.control import (DD_TOL, ControlSchedule, SystemModel,
                                 check_dd, effective_dynamics, fourier_modes,
-                                operator_norm, q_of_t,
-                                qka_bangbang_closed_form, tune_amplitude,
-                                vc_at)
+                                operator_norm, q_of_t, tune_amplitude, vc_at)
 from decoshield.errors import (ArgumentError, DecouplingViolationError,
                                TuneSearchError)
 
-from oracles import bessel_j_series
+from decoshield.reservoir import make_form_factor, spectral_function
+from decoshield.weak_coupling import level_shift
+
+from oracles import bessel_j_series, qka_bangbang_closed_form
 
 MU_STAR = 7.554982305222015  # pi * first zero of J_0
 
@@ -219,7 +220,7 @@ class TestFourierModes:
         table = fourier_modes(SystemModel.qubit(), tuned_schedule())
         for k in range(1, 9):
             expect = abs(bessel_j_series(k, MU_STAR / np.pi))
-            assert operator_norm(table.ladder[(k, -1)]) == \
+            assert operator_norm(table.bohr[(k, -2.0)]) == \
                 pytest.approx(expect, abs=1e-8)
 
     def test_parseval_and_adjoint_symmetry(self):
@@ -229,20 +230,34 @@ class TestFourierModes:
             assert operator_norm(table.mode(-k) - table.mode(k).conj().T) \
                 < 1e-12
 
+    def test_kick_tail_bound_is_parseval_remainder(self):
+        # the two-kick modes are 2 / (pi k) on odd k per Bohr component, so
+        # the power past |k| = 64 is (16 / pi^2) sum_{odd k > 64} 1 / k^2;
+        # the last ring (k = 64) is exactly zero and says nothing of it
+        table = fourier_modes(SystemModel.qubit(), two_kick())
+        assert table.cutoff == 64
+        odd_below = sum(1.0 / k**2 for k in range(1, 64, 2))
+        expect = 16.0 / np.pi**2 * (np.pi**2 / 8 - odd_below)
+        assert expect > 0.01
+        assert table.tail_bound == pytest.approx(expect, rel=1e-9)
+
     def test_invalid_cutoff(self):
         with pytest.raises(ArgumentError):
             fourier_modes(SystemModel.qubit(), tuned_schedule(), K=0)
 
 
 class TestBangBangClosedForm:
+    # the closed form holds for k != 0; the zero mode comes from the table
     def test_zero_mode_under_dd(self):
-        out = qka_bangbang_closed_form(SystemModel.qubit(), two_kick(), 0, -1)
-        assert operator_norm(out) == 0.0
+        table = fourier_modes(SystemModel.qubit(), two_kick(), K=1)
+        for w in (-2.0, 2.0):
+            assert operator_norm(table.bohr[(0, w)]) < 1e-15
 
     def test_zero_mode_without_dd_raises(self):
         bad = ControlSchedule.bangbang(1.0, [0.2, 0.5], [np.pi / 2, -np.pi / 2])
+        sf = spectral_function(make_form_factor("gaussian-p", beta=1.0))
         with pytest.raises(DecouplingViolationError):
-            qka_bangbang_closed_form(SystemModel.qubit(), bad, 0, -1)
+            level_shift(SystemModel.qubit(), bad, sf, 0.05)
 
     def test_matches_segmentwise_quadrature(self):
         import scipy.integrate
@@ -252,10 +267,11 @@ class TestBangBangClosedForm:
         segs = sched.segments()
         for k in (1, 2, 3, 7, 25, 50, -3, -11):
             for a in (-1, +1):
-                closed = qka_bangbang_closed_form(model, sched, k, a)
+                # Bohr frequency w = 2a: the entry (0, 1) for w = -2
+                closed = qka_bangbang_closed_form(model, sched, k, 2.0 * a)
 
                 def entry(x):
-                    # rotated ladder entry e^{-2 i a phi(x)} (upper/lower)
+                    # rotated entry e^{-2 i a phi(x)} of Q_w
                     phi = float(sched.phase(x * sched.period))
                     return np.exp(-2j * a * phi) * np.exp(-2j * np.pi * k * x)
 
@@ -277,16 +293,16 @@ class TestBangBangClosedForm:
             table = fourier_modes(model, sched)
             assert table.cutoff == 64
             for k in [*range(-64, 0), *range(1, 65)]:
-                for a in (-1, +1):
-                    closed = qka_bangbang_closed_form(model, sched, k, a)
-                    assert operator_norm(table.ladder[(k, a)] - closed) < 1e-12
+                for w in (-2.0, 2.0):
+                    closed = qka_bangbang_closed_form(model, sched, k, w)
+                    assert operator_norm(table.bohr[(k, w)] - closed) < 1e-12
 
     def test_inverse_k_scaling_on_support(self):
         model = SystemModel.qubit()
         sched = two_kick()
         vals = []
         for k in range(1, 51):
-            nrm = operator_norm(qka_bangbang_closed_form(model, sched, k, -1))
+            nrm = operator_norm(qka_bangbang_closed_form(model, sched, k, -2.0))
             if k % 2 == 0:
                 assert nrm < 1e-12
             else:

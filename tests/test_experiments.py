@@ -10,6 +10,8 @@ from decoshield.errors import ArgumentError, ConfigError
 from decoshield.experiments import (ExperimentConfig, Report, emit_report,
                                     run_experiment, sweep)
 
+from oracles import gaussian_p_weight
+
 MU_STAR = 7.554982305222015
 
 
@@ -123,8 +125,11 @@ class TestRunExperiment:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
 
-    def test_qutrit_records_null_rates(self, tmp_path):
-        # kicks on H_dir = diag(1, -1, 1) average the 0-1 and 1-2 couplings
+    def test_qutrit_rates_match_closed_form(self, tmp_path):
+        # kicks on H_dir = diag(1, -1, 1) average the 0-1 and 1-2 couplings;
+        # both sit at Bohr frequency -0.5 (or +0.5 for the adjoint), and
+        # each ring k carries 2 / (pi k) on odd k: the comb points in the
+        # support are 4 k +- 0.5 with k = +-1
         doc = small_doc(**{
             "system.h_s": [[0.5, 0, 0], [0, 0, 0], [0, 0, -0.5]],
             "system.q": [[0, 1, 0], [1, 0, 1], [0, 1, 0]],
@@ -135,7 +140,9 @@ class TestRunExperiment:
         report = run_experiment(ExperimentConfig.from_dict(doc),
                                 out_dir=tmp_path)
         assert report.dd["passed"]
-        assert report.rates is None
+        expect = sum((2.0 / math.pi) ** 2 * gaussian_p_weight(x) ** 2
+                     for x in (4.5, 3.5, -3.5, -4.5))
+        assert report.rates["xi"] == pytest.approx(expect, rel=1e-9)
         assert set(report.runs) == {"on", "off"}
 
     def test_report_json_round_trip(self, tmp_path):
@@ -279,8 +286,8 @@ class TestCli:
                          "--out", str(out)]) == 0
         assert "ratio" in capsys.readouterr().out
 
-    def test_simulate_non_unit_gap_qubit_records_null_rates(self, tmp_path):
-        # rates assume H_s = diag(1, -1); the exact simulation does not
+    def test_simulate_non_unit_gap_qubit_records_rates(self, tmp_path):
+        # H_s = diag(0.5, -0.5) has Bohr frequencies +-1: rates like any model
         out = tmp_path / "res"
         doc = small_doc(**{"system.h_s": [[0.5, 0], [0, -0.5]],
                            "reservoir.n_modes": 3, "run.horizon": 2.0})
@@ -290,10 +297,12 @@ class TestCli:
         assert (out / "trajectory_on.csv").is_file()
         assert (out / "trajectory_off.csv").is_file()
         report = json.loads((out / "report.json").read_text())
-        assert report["rates"] is None
+        assert report["rates"]["xi"] > 0.0
         assert report["dd"]["passed"]
         assert cli_main(["rates", "--config", cfg,
-                         "--out", str(tmp_path / "r")]) == 1
+                         "--out", str(tmp_path / "r")]) == 0
+        rates = json.loads((tmp_path / "r" / "report.json").read_text())
+        assert rates["rates"] == report["rates"]
 
     def test_fourier_table_output(self, tmp_path):
         out = tmp_path / "f"
@@ -313,12 +322,14 @@ class TestCli:
         assert len(report["sweep"]) == 2
 
     @pytest.mark.parametrize("overrides", [
-        {"system.h_s": [[0.5, 0], [0, -0.5]]},
+        {"require_dd": False, "schedule": {
+            "kind": "bangbang", "period": 0.25, "phases": [0.2, 0.5],
+            "weights": [math.pi / 2, -math.pi / 2]}},
         {"require_dd": False, "schedule.mu": 5.0},
-    ], ids=["non-unit-gap-qubit", "failed-check-not-required"])
+    ], ids=["failed-kick-check-not-required", "failed-check-not-required"])
     def test_sweep_rows_without_rates_are_null(self, tmp_path, capsys,
                                                overrides):
-        # the same configs run through simulate with "rates": null
+        # a check that fails without being required leaves no rates
         out = tmp_path / "s"
         doc = small_doc(**{"run.sample_dt": 0.5,
                            "run.substeps_per_period": 16}, **overrides)
@@ -331,6 +342,18 @@ class TestCli:
             assert row["xi"] is None and row["t_dec"] is None
             assert 0.0 < row["retention"] <= 1.0
         assert capsys.readouterr().out.count("xi=null, t_dec=null") == 2
+
+    def test_sweep_non_unit_gap_qubit_rows_carry_rates(self, tmp_path):
+        out = tmp_path / "s"
+        doc = small_doc(**{"run.sample_dt": 0.5, "run.substeps_per_period": 16,
+                           "system.h_s": [[0.5, 0], [0, -0.5]]})
+        cfg = self.write_config(tmp_path, doc)
+        assert cli_main(["sweep", "--config", cfg, "--out", str(out),
+                         "--axis", "lambda", "--values", "0.02,0.05"]) == 0
+        rows = json.loads((out / "report.json").read_text())["sweep"]
+        assert all(row["xi"] > 0.0 for row in rows)
+        assert rows[0]["xi"] == rows[1]["xi"]
+        assert rows[0]["t_dec"] > rows[1]["t_dec"]
 
     @pytest.mark.parametrize("overrides, axis, values, field", [
         ({}, "T", "0.1,2.0", "schedule.period"),

@@ -114,28 +114,25 @@ class TestPrincipalValue:
 class TestModeDiscretization:
     def test_fermi_dirac_occupations(self):
         ff = default_ff(beta=2.0)
-        sf = spectral_function(ff)
-        modes = discretize_modes(sf, ff, 16, 6.0)
+        modes = discretize_modes(ff, 16, 6.0)
         for w, n in zip(modes.frequencies, modes.occupations):
             assert n == pytest.approx(1.0 / (1.0 + math.exp(2.0 * w)),
                                       abs=1e-12)
 
     def test_zero_temperature_limit(self):
         ff = default_ff(beta=1e6)
-        sf = spectral_function(ff)
-        modes = discretize_modes(sf, ff, 8, 6.0)
+        modes = discretize_modes(ff, 8, 6.0)
         assert np.all(modes.occupations < 1e-12)
 
     def test_sum_rule_second_order(self):
         import scipy.integrate
 
         ff = default_ff()
-        sf = spectral_function(ff)
         target, _ = scipy.integrate.quad(
             lambda p: 4 * math.pi * p * p * ff.f(p) ** 2, 0.0, 6.0)
         defects = []
         for n in (16, 32, 64):
-            modes = discretize_modes(sf, ff, n, 6.0)
+            modes = discretize_modes(ff, n, 6.0)
             defects.append(abs(np.sum(modes.couplings**2) - target))
         # midpoint rule: quartering the defect per doubling (allow slack)
         assert defects[1] < 0.35 * defects[0]
@@ -144,7 +141,7 @@ class TestModeDiscretization:
     def test_rejects_empty_grid(self):
         ff = default_ff()
         with pytest.raises(ArgumentError):
-            discretize_modes(spectral_function(ff), ff, 0, 6.0)
+            discretize_modes(ff, 0, 6.0)
 
 
 class TestFormFactorValidation:

@@ -6,14 +6,12 @@ from decoshield.control import (ControlSchedule, SystemModel,
                                 effective_dynamics, operator_norm)
 import decoshield.simulate as simulate
 from decoshield.errors import ArgumentError, NumericError, ResourceError
-from decoshield.reservoir import make_form_factor, spectral_function, \
-    discretize_modes
+from decoshield.reservoir import discretize_modes, make_form_factor
 from decoshield.simulate import (TotalModel, build_total_generator,
                                  compare_with_effective, evolve,
-                                 jordan_wigner_annihilators,
-                                 thermal_reservoir_state, trace_distance)
+                                 jordan_wigner_annihilators, trace_distance)
 
-from oracles import ordered_propagator, partial_trace
+from oracles import ordered_propagator, partial_trace, thermal_reservoir_state
 
 MU_STAR = 7.554982305222015
 
@@ -22,13 +20,11 @@ rng = np.random.default_rng(41)
 
 @pytest.fixture(scope="module")
 def reservoir():
-    ff = make_form_factor("gaussian-p", beta=1.0)
-    sf = spectral_function(ff)
-    return ff, sf
+    return make_form_factor("gaussian-p", beta=1.0)
 
 
-def modeset(sf, ff, n, p_max=4.0):
-    return discretize_modes(sf, ff, n, p_max)
+def modeset(ff, n, p_max=4.0):
+    return discretize_modes(ff, n, p_max)
 
 
 def plus_state():
@@ -55,8 +51,8 @@ class TestJordanWigner:
 
 class TestThermalState:
     def test_occupations_match_fermi_dirac(self, reservoir):
-        ff, sf = reservoir
-        modes = modeset(sf, ff, 4)
+        ff = reservoir
+        modes = modeset(ff, 4)
         rho = thermal_reservoir_state(modes)
         ops = jordan_wigner_annihilators(4)
         for aj, n in zip(ops, modes.occupations):
@@ -64,13 +60,13 @@ class TestThermalState:
             assert got == pytest.approx(n, abs=1e-12)
 
     def test_trace_one(self, reservoir):
-        ff, sf = reservoir
-        rho = thermal_reservoir_state(modeset(sf, ff, 5))
+        ff = reservoir
+        rho = thermal_reservoir_state(modeset(ff, 5))
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
 
     def test_anomalous_pairs_vanish(self, reservoir):
-        ff, sf = reservoir
-        modes = modeset(sf, ff, 3)
+        ff = reservoir
+        modes = modeset(ff, 3)
         rho = thermal_reservoir_state(modes)
         ops = jordan_wigner_annihilators(3)
         for i in range(3):
@@ -80,9 +76,9 @@ class TestThermalState:
 
 class TestTotalGenerator:
     def test_hermitian_and_periodic(self, reservoir):
-        ff, sf = reservoir
+        ff = reservoir
         sched = ControlSchedule.sinusoidal(0.3, MU_STAR)
-        tm = TotalModel(SystemModel.qubit(), modeset(sf, ff, 3), 0.1, sched)
+        tm = TotalModel(SystemModel.qubit(), modeset(ff, 3), 0.1, sched)
         for t in rng.uniform(0, 2, size=10):
             h = build_total_generator(tm, float(t))
             assert operator_norm(h - h.conj().T) < 1e-12
@@ -90,8 +86,8 @@ class TestTotalGenerator:
                 < 1e-10
 
     def test_decoupled_blocks_at_zero_coupling(self, reservoir):
-        ff, sf = reservoir
-        modes = modeset(sf, ff, 3)
+        ff = reservoir
+        modes = modeset(ff, 3)
         tm = TotalModel(SystemModel.qubit(), modes, 0.0, None)
         h = build_total_generator(tm, 0.0)
         ops = jordan_wigner_annihilators(3)
@@ -100,17 +96,17 @@ class TestTotalGenerator:
             assert operator_norm(h @ num - num @ h) < 1e-12
 
     def test_dimension_guard(self, reservoir):
-        ff, sf = reservoir
-        big = modeset(sf, ff, 14)
+        ff = reservoir
+        big = modeset(ff, 14)
         with pytest.raises(ResourceError):
             TotalModel(SystemModel.qubit(), big, 0.1, None)
 
 
 class TestEvolve:
     def test_zero_coupling_matches_effective(self, reservoir):
-        ff, sf = reservoir
+        ff = reservoir
         sched = ControlSchedule.sinusoidal(0.1, MU_STAR)
-        tm = TotalModel(SystemModel.qubit(), modeset(sf, ff, 3), 0.0, sched)
+        tm = TotalModel(SystemModel.qubit(), modeset(ff, 3), 0.0, sched)
         traj = evolve(tm, plus_state(), 1.0, 0.1, substeps_per_period=256)
         for t, rho in zip(traj.times, traj.reduced_states):
             ref = effective_dynamics(SystemModel.qubit(), sched, plus_state(),
@@ -118,15 +114,15 @@ class TestEvolve:
             assert trace_distance(rho, ref) < 1e-8
 
     def test_free_qubit_keeps_coherence(self, reservoir):
-        ff, sf = reservoir
-        tm = TotalModel(SystemModel.qubit(), modeset(sf, ff, 2), 0.0, None)
+        ff = reservoir
+        tm = TotalModel(SystemModel.qubit(), modeset(ff, 2), 0.0, None)
         traj = evolve(tm, plus_state(), 5.0, 0.5)
         coh = traj.coherence(0, 1)
         np.testing.assert_allclose(coh, coh[0], atol=1e-10)
 
     def test_single_mode_against_dense_diagonalization(self, reservoir):
-        ff, sf = reservoir
-        modes = modeset(sf, ff, 1)
+        ff = reservoir
+        modes = modeset(ff, 1)
         sched = ControlSchedule.sinusoidal(0.2, MU_STAR)
         tm = TotalModel(SystemModel.qubit(), modes, 0.3, sched)
         traj = evolve(tm, plus_state(), 1.0, 0.2, substeps_per_period=4096)
@@ -140,8 +136,8 @@ class TestEvolve:
             assert trace_distance(traj.reduced_states[i], ref) < 1e-8
 
     def test_bangbang_against_piecewise_exponentials(self, reservoir):
-        ff, sf = reservoir
-        modes = modeset(sf, ff, 2)
+        ff = reservoir
+        modes = modeset(ff, 2)
         sched = ControlSchedule.bangbang(0.5, [0.25, 0.75],
                                          [np.pi / 2, -np.pi / 2])
         tm = TotalModel(SystemModel.qubit(), modes, 0.2, sched)
@@ -180,8 +176,8 @@ class TestEvolve:
 
     def test_smooth_fragments_against_ordered_propagator(self, reservoir):
         # sample_dt = 2T/3 puts most samples inside a period
-        ff, sf = reservoir
-        modes = modeset(sf, ff, 1)
+        ff = reservoir
+        modes = modeset(ff, 1)
         sched = ControlSchedule.sinusoidal(0.3, MU_STAR)
         tm = TotalModel(SystemModel.qubit(), modes, 0.3, sched)
         traj = evolve(tm, plus_state(), 1.0, 0.2, substeps_per_period=4096)
@@ -197,8 +193,8 @@ class TestEvolve:
     def test_sample_snapped_to_period_end_counts_the_period(self, reservoir):
         # with T = 0.5 + 3.75e-10 the t = 1.0 sample lies within 1e-9 of
         # 2T and is taken as offset 0 of the third period, not the second
-        ff, sf = reservoir
-        modes = modeset(sf, ff, 2)
+        ff = reservoir
+        modes = modeset(ff, 2)
         finals = []
         for period in (0.5, 0.500000000375):
             sched = ControlSchedule.bangbang(period, [0.25, 0.75],
@@ -211,10 +207,10 @@ class TestEvolve:
 
     def test_monodromy_defects_reach_the_checks(self, reservoir,
                                                 monkeypatch):
-        ff, sf = reservoir
+        ff = reservoir
         sched = ControlSchedule.bangbang(0.5, [0.25, 0.75],
                                          [np.pi / 2, -np.pi / 2])
-        tm = TotalModel(SystemModel.qubit(), modeset(sf, ff, 2), 0.2, sched)
+        tm = TotalModel(SystemModel.qubit(), modeset(ff, 2), 0.2, sched)
         build = simulate._build_piecewise_propagators
 
         def distorted(factor):
@@ -237,8 +233,8 @@ class TestEvolve:
         assert err.value.diagnostics["off_diagonal"] > 1e-10
 
     def test_reservoir_stationary_without_coupling(self, reservoir):
-        ff, sf = reservoir
-        modes = modeset(sf, ff, 2)
+        ff = reservoir
+        modes = modeset(ff, 2)
         tm = TotalModel(SystemModel.qubit(), modes, 0.0, None)
         rho_r = thermal_reservoir_state(modes)
         rho_full = np.kron(plus_state(), rho_r)
@@ -248,9 +244,9 @@ class TestEvolve:
         assert trace_distance(out, rho_r) < 1e-10
 
     def test_state_invariants_along_trajectory(self, reservoir):
-        ff, sf = reservoir
+        ff = reservoir
         sched = ControlSchedule.sinusoidal(0.2, MU_STAR)
-        tm = TotalModel(SystemModel.qubit(), modeset(sf, ff, 4), 0.15, sched)
+        tm = TotalModel(SystemModel.qubit(), modeset(ff, 4), 0.15, sched)
         traj = evolve(tm, plus_state(), 3.0, 0.2, substeps_per_period=256)
         assert traj.trace_defect < 1e-8
         assert traj.purity_defect < 1e-8
@@ -260,8 +256,8 @@ class TestEvolve:
             assert np.linalg.eigvalsh(rho).min() > -1e-8
 
     def test_unraveling_is_seed_deterministic(self, reservoir):
-        ff, sf = reservoir
-        modes = modeset(sf, ff, 4)
+        ff = reservoir
+        modes = modeset(ff, 4)
         tm = TotalModel(SystemModel.qubit(), modes, 0.1, None)
         kw = dict(max_dense_ensemble=4, unravel_samples=32)
         t1 = evolve(tm, plus_state(), 1.0, 0.5, rng_seed=5, **kw)
@@ -273,17 +269,17 @@ class TestEvolve:
                    for a, b in zip(t1.reduced_states, t3.reduced_states))
 
     def test_invalid_sampling(self, reservoir):
-        ff, sf = reservoir
-        tm = TotalModel(SystemModel.qubit(), modeset(sf, ff, 2), 0.0, None)
+        ff = reservoir
+        tm = TotalModel(SystemModel.qubit(), modeset(ff, 2), 0.0, None)
         with pytest.raises(ArgumentError):
             evolve(tm, plus_state(), 1.0, 0.0)
 
 
 class TestComparison:
     def test_zero_deviation_at_zero_coupling(self, reservoir):
-        ff, sf = reservoir
+        ff = reservoir
         sched = ControlSchedule.sinusoidal(0.25, MU_STAR)
-        tm = TotalModel(SystemModel.qubit(), modeset(sf, ff, 3), 0.0, sched)
+        tm = TotalModel(SystemModel.qubit(), modeset(ff, 3), 0.0, sched)
         traj = evolve(tm, plus_state(), 2.0, 0.25, substeps_per_period=256)
         report = compare_with_effective(traj, SystemModel.qubit(), sched)
         assert report.deviations[0] < 1e-12
