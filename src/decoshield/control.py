@@ -4,17 +4,19 @@ A schedule is a T-periodic control Hamiltonian H_c(t) that commutes with
 the system Hamiltonian at all times. Two families are supported:
 
 * smooth:   H_c(t) = (mu/T) * kappa(t/T) * H_dir with kappa 1-periodic,
-* bangbang: a 1-periodic train of instantaneous kicks exp(i c_l H_dir)
+* bangbang: a 1-periodic train of instantaneous kicks of weights c_l
             at phases alpha_l, with zero total weight per period.
 
-Both are fully described by the accumulated control phase
-phi(t) with V_c(t) = exp(i phi(t) H_dir), which is what every routine
-below consumes: in the H_dir eigenbasis every entry of the rotated
-coupling V_c(t)* Q V_c(t) is a constant times the scalar phase
-exp(-i phi(t) (w_m - w_n)), so no matrix is exponentiated. The
-decoupling checker evaluates the averaged coupling over a period both
-as a running integral (residual) and through the equivalent pair
-(periodicity of Q(t), vanishing zero Fourier mode).
+Both are fully described by the accumulated control phase phi(t) with
+V_c(t) = exp(i phi(t) H_dir), which is what every routine below consumes.
+The state receives V_c(t)* = exp(-i phi(t) H_dir), so a kick of weight c
+multiplies it by exp(-i c H_dir) (``effective_dynamics``, ``simulate``).
+In the H_dir eigenbasis every entry of the rotated coupling
+V_c(t)* Q V_c(t) is a constant times the scalar phase
+exp(-i phi(t) (w_m - w_n)), so no matrix is exponentiated. The decoupling
+checker evaluates the averaged coupling over a period both as a running
+integral (residual) and through the equivalent pair (periodicity of
+Q(t), vanishing zero Fourier mode).
 """
 
 from __future__ import annotations
@@ -185,11 +187,11 @@ class ControlSchedule:
             frac = x - n
             k1 = float(self.kappa_integral(1.0))
             return self.mu * (n * k1 + np.asarray(self.kappa_integral(frac), float))
-        # bang-bang: count kicks with time strictly below t
+        # bang-bang: count kicks at or before t (to 1e-9 of a period)
         out = np.zeros_like(x)
         for a, c in zip(self.kick_phases, self.kick_weights):
             # kicks at x = j + a for integers j >= 0
-            out = out + c * np.maximum(0.0, np.floor(x - a) + 1)
+            out = out + c * np.maximum(0.0, np.floor(x - a + 1e-9) + 1)
         return out
 
     def h_c(self, t):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import inspect
 import json
 import math
 import platform
@@ -26,9 +27,11 @@ from . import __version__
 from .control import (ControlSchedule, DDReport, SystemModel, check_dd,
                       commutation_defect, operator_norm)
 from .errors import ArgumentError, ConfigError, DecouplingViolationError
-from .reservoir import (discretize_modes, make_form_factor, spectral_function)
+from .reservoir import (FormFactor, discretize_modes, form_factor_registry,
+                        make_form_factor, spectral_function)
 from .simulate import (DIMENSION_GUARD, DeviationReport, TotalModel,
-                       Trajectory, compare_with_effective, evolve)
+                       Trajectory, compare_with_effective, evolve,
+                       shared_static_eigh)
 from .weak_coupling import RateSummary, decoherence_time, level_shift
 
 __all__ = [
@@ -93,9 +96,7 @@ class ExperimentConfig:
     scenario: str
     model: SystemModel
     schedule: Optional[ControlSchedule]   # None: never driven
-    form_factor_name: str
-    form_factor_params: dict
-    beta: float
+    form_factor: FormFactor
     n_modes: int
     p_max: float
     lam: float
@@ -172,10 +173,21 @@ class ExperimentConfig:
                                   f"(defect {defect:.3e})")
 
         ff_name = _get(doc, "reservoir.form_factor", str, "gaussian-p")
+        if ff_name not in form_factor_registry:
+            raise ConfigError("reservoir.form_factor",
+                              f"unknown form factor {ff_name!r}; choose from "
+                              f"{sorted(form_factor_registry)}")
         ff_params = _get(doc, "reservoir.params", dict, {})
+        known = inspect.signature(form_factor_registry[ff_name]).parameters
+        for key in ff_params:
+            if key not in known:
+                raise ConfigError(f"reservoir.params.{key}",
+                                  f"{ff_name} takes only {sorted(known)}")
+            _get(doc, f"reservoir.params.{key}", (int, float))
         beta = float(_get(doc, "reservoir.beta", (int, float)))
         if not beta > 0:
             raise ConfigError("reservoir.beta", "must be positive")
+        form_factor = make_form_factor(ff_name, beta, **ff_params)
         n_modes = _get(doc, "reservoir.n_modes", int)
         if n_modes < 1:
             raise ConfigError("reservoir.n_modes", "must be >= 1")
@@ -222,9 +234,8 @@ class ExperimentConfig:
         seed = _get(doc, "seed", int, 0)
 
         return cls(scenario=scenario, model=model, schedule=schedule,
-                   form_factor_name=ff_name, form_factor_params=ff_params,
-                   beta=beta, n_modes=n_modes, p_max=p_max, lam=lam,
-                   horizon=horizon, sample_dt=sample_dt,
+                   form_factor=form_factor, n_modes=n_modes, p_max=p_max,
+                   lam=lam, horizon=horizon, sample_dt=sample_dt,
                    substeps_per_period=substeps, c_const=c_const,
                    initial_state=state, dd_tol=dd_tol,
                    require_dd=require_dd, output_dir=out_dir, seed=seed,
@@ -285,32 +296,27 @@ def _run_dict(traj: Trajectory, dev: DeviationReport) -> dict:
     }
 
 
-def _form_factor(cfg: ExperimentConfig):
-    """Form factor of the scenario's reservoir."""
-    return make_form_factor(cfg.form_factor_name, cfg.beta,
-                            **cfg.form_factor_params)
-
-
 def _compute_rates(cfg: ExperimentConfig) -> RateSummary:
     """Second-order rate summary of a driven scenario."""
-    sf = spectral_function(_form_factor(cfg))
+    sf = spectral_function(cfg.form_factor)
     gen = level_shift(cfg.model, cfg.schedule, sf, cfg.lam, dd_tol=cfg.dd_tol)
     return decoherence_time(gen, c_const=cfg.c_const)
 
 
 def _simulate_pair(cfg: ExperimentConfig):
-    """DD-on and DD-off trajectories with their deviation reports."""
-    modes = discretize_modes(_form_factor(cfg), cfg.n_modes, cfg.p_max)
+    """DD-off, then DD-on trajectories with their deviation reports."""
+    modes = discretize_modes(cfg.form_factor, cfg.n_modes, cfg.p_max)
     results = {}
-    for label, sched in (("on", cfg.schedule), ("off", None)):
-        if label == "on" and cfg.schedule is None:
-            continue
-        tm = TotalModel(system=cfg.model, modes=modes, lam=cfg.lam,
-                        schedule=sched)
-        traj = evolve(tm, cfg.initial_state, cfg.horizon, cfg.sample_dt,
-                      substeps_per_period=cfg.substeps_per_period,
-                      rng_seed=cfg.seed)
-        results[label] = (traj, compare_with_effective(traj, cfg.model, sched))
+    runs = [("on", cfg.schedule)] if cfg.schedule is not None else []
+    with shared_static_eigh(cfg.schedule):
+        for label, sched in [("off", None)] + runs:
+            tm = TotalModel(system=cfg.model, modes=modes, lam=cfg.lam,
+                            schedule=sched)
+            traj = evolve(tm, cfg.initial_state, cfg.horizon, cfg.sample_dt,
+                          substeps_per_period=cfg.substeps_per_period,
+                          rng_seed=cfg.seed)
+            results[label] = (traj,
+                              compare_with_effective(traj, cfg.model, sched))
     return results
 
 

@@ -38,18 +38,14 @@ SPHERE_WEIGHT = 4.0 * math.pi
 
 @dataclass(frozen=True)
 class FormFactor:
-    """Radial coupling profile with inverse temperature and strip proxy."""
+    """Radial coupling profile with inverse temperature."""
 
     f: Callable[[float], float] = field(repr=False)
     beta: float = 1.0
-    r_max: float = 10.0
-    name: str = "custom"
 
     def __post_init__(self):
         if not self.beta > 0:
             raise ArgumentError("beta must be positive")
-        if not self.r_max > 0:
-            raise ArgumentError("r_max must be positive")
 
 
 def _gaussian_p(scale=1.0):
@@ -72,24 +68,25 @@ form_factor_registry = {
 }
 
 
-def make_form_factor(name: str, beta: float, r_max: float = 10.0,
-                     **params) -> FormFactor:
+def make_form_factor(name: str, beta: float, **params) -> FormFactor:
     if name not in form_factor_registry:
         raise ArgumentError(
             f"unknown form factor {name!r}; choose from {sorted(form_factor_registry)}")
-    return FormFactor(f=form_factor_registry[name](**params), beta=beta,
-                      r_max=r_max, name=name)
+    return FormFactor(f=form_factor_registry[name](**params), beta=beta)
 
 
-def glue_form_factor(ff: FormFactor, p) -> complex:
+def glue_form_factor(ff: FormFactor, p):
     """Glued profile g(p): thermal weight times f on the positive branch,
-    conj(f(-p)) on the negative branch."""
-    p = float(p)
+    conj(f(-p)) on the negative branch; a scalar p gives a complex."""
+    # [()] turns a 0-d input into a numpy scalar, whose arithmetic is cheap
+    p = np.asarray(p, dtype=float)[()]
+    a = abs(p)
+    fv = ff.f(a)
+    if np.iscomplexobj(fv):
+        fv = np.where(p < 0, np.conj(fv), fv)
     # 1/sqrt(1 + e^{-beta p}) written overflow-safe as sqrt(expit(beta p))
-    weight = abs(p) * math.sqrt(scipy.special.expit(ff.beta * p))
-    if p >= 0:
-        return complex(weight * ff.f(p))
-    return complex(weight * np.conj(ff.f(-p)))
+    g = a * np.sqrt(scipy.special.expit(ff.beta * p)) * fv
+    return complex(g) if np.ndim(g) == 0 else g.astype(complex)
 
 
 @dataclass(frozen=True)
@@ -100,13 +97,10 @@ class SpectralFunction:
     p_max: float
 
     def __call__(self, p):
-        p = np.asarray(p, dtype=float)
-        scalar = p.ndim == 0
-        p = np.atleast_1d(p)
-        g = np.array([abs(glue_form_factor(self.ff, x)) for x in p])
+        p = np.asarray(p, dtype=float)[()]
+        g = abs(glue_form_factor(self.ff, p))
         out = SPHERE_WEIGHT * p * p * g * g * scipy.special.expit(self.ff.beta * p)
-        out = np.maximum(out, 0.0)
-        return float(out[0]) if scalar else out
+        return float(out) if np.ndim(out) == 0 else out
 
 
 def spectral_function(ff: FormFactor, support_tol: float = 1e-16,
@@ -114,8 +108,7 @@ def spectral_function(ff: FormFactor, support_tol: float = 1e-16,
     """Build G from the glued form factor and locate its support cutoff."""
     sf = SpectralFunction(ff=ff, p_max=p_scan_max)
     ps = np.linspace(0.0, p_scan_max, 4001)
-    vals = sf(ps)
-    above = np.nonzero(vals > support_tol)[0]
+    above = np.nonzero(sf(ps) > support_tol)[0]
     p_max = float(ps[above[-1]] + ps[1]) if above.size else 1.0
     return SpectralFunction(ff=ff, p_max=p_max)
 
@@ -157,7 +150,6 @@ class ModeSet:
     frequencies: np.ndarray
     couplings: np.ndarray
     occupations: np.ndarray
-    beta: float
 
     @property
     def n_modes(self) -> int:
@@ -176,8 +168,7 @@ def discretize_modes(ff: FormFactor, N: int, p_max: float) -> ModeSet:
         raise ArgumentError("p_max must be positive")
     delta = p_max / N
     omegas = (np.arange(1, N + 1) - 0.5) * delta
-    fvals = np.array([float(ff.f(w)) for w in omegas])
-    couplings = np.sqrt(delta * SPHERE_WEIGHT * omegas**2 * fvals**2)
+    couplings = np.sqrt(delta * SPHERE_WEIGHT * omegas**2 * ff.f(omegas)**2)
     occupations = scipy.special.expit(-ff.beta * omegas)
     return ModeSet(frequencies=omegas, couplings=couplings,
-                   occupations=occupations, beta=ff.beta)
+                   occupations=occupations)

@@ -2,12 +2,16 @@
 
 The reservoir is a Jordan-Wigner chain of N fermionic modes in a thermal
 product state. The total Hamiltonian is T-periodic, so long horizons are
-reached through the one-period propagator (monodromy) U_T, built once
-with a fine-grained Strang splitting whose diagonal factor (system,
-control and mode energies) is integrated exactly, or from exact segment
-exponentials for kick schedules. Its complex Schur form gives every power
-U_T^n = W lambda^n W^dagger (Floquet form); the uncontrolled baseline is
-sampled the same way in the eigenbasis of the static Hamiltonian.
+reached through the one-period propagator (monodromy) U_T, built once by
+one walk over the period in the joint eigenbasis of H_s and H_dir: a smooth
+drive takes fine-grained Strang steps whose diagonal factor (system,
+control and mode energies) is integrated exactly, a kick schedule the
+exact static propagator between kicks. On both kinds the state receives
+V_c(t)* = exp(-i phi(t) H_dir), so a kick of weight c multiplies it by
+the diagonal phase exp(-i c H_dir). The complex Schur form of U_T gives
+every power U_T^n = W lambda^n W^dagger (Floquet form); the uncontrolled
+baseline is sampled the same way in the eigenbasis of the static
+Hamiltonian.
 
 The thermal average is exact: one pure state per reservoir occupation
 bitstring, weighted by its Fermi-Dirac product probability (a seeded
@@ -16,6 +20,8 @@ sub-sampling kicks in only above the dense-ensemble size guard).
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -53,14 +59,9 @@ def jordan_wigner_annihilators(n_modes: int):
     a = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     z = np.diag([1.0, -1.0]).astype(complex)
     eye = np.eye(2, dtype=complex)
-    ops = []
-    for j in range(n_modes):
-        factors = [z] * j + [a] + [eye] * (n_modes - j - 1)
-        op = factors[0]
-        for fct in factors[1:]:
-            op = np.kron(op, fct)
-        ops.append(op)
-    return ops
+    return [functools.reduce(np.kron,
+                             [z] * j + [a] + [eye] * (n_modes - j - 1))
+            for j in range(n_modes)]
 
 
 @dataclass(frozen=True)
@@ -120,16 +121,13 @@ def build_total_generator(tm: TotalModel, t: float) -> np.ndarray:
 
 @dataclass
 class Trajectory:
-    """Sampled reduced states with derived coherence/population series."""
+    """Sampled reduced states with their derived coherence series."""
 
     times: np.ndarray
     reduced_states: list
     initial_state: np.ndarray
     trace_defect: float
     purity_defect: float
-
-    def populations(self) -> np.ndarray:
-        return np.array([np.diag(r).real for r in self.reduced_states])
 
     def coherence(self, m: int, n: int) -> np.ndarray:
         return np.array([abs(r[m, n]) for r in self.reduced_states])
@@ -155,14 +153,11 @@ def _co_diagonalize(h_s, h_dir):
 class _SplitStepper:
     """Strang splitting with exact diagonal phases and a constant kick part."""
 
-    def __init__(self, tm: TotalModel, step: float):
+    def __init__(self, tm: TotalModel, step: float, joint):
         self.tm = tm
         self.step = step
         self.d = tm.system.dim
-        es, edir, v = _co_diagonalize(tm.system.h_s, tm.schedule.h_dir)
-        self.sys_basis = v
-        self.es = es
-        self.edir = edir
+        self.es, self.edir, v = joint
         self.er = tm.reservoir_hamiltonian_diagonal()
         q = v.conj().T @ tm.system.q @ v
         self.qw, self.qv = np.linalg.eigh(q)
@@ -175,9 +170,8 @@ class _SplitStepper:
         ]
 
     def diag_phases(self, dt, dphi):
-        ph = (-1j) * (dt * (self.es[:, None] + self.er[None, :])
-                      + dphi * self.edir[:, None])
-        return np.exp(ph)
+        return np.exp((-1j) * (dt * (self.es[:, None] + self.er[None, :])
+                               + dphi * self.edir[:, None]))
 
     def apply_step(self, psi, t):
         """One Strang step on psi shaped (d, 2^N, K), in the joint eigenbasis."""
@@ -195,74 +189,84 @@ class _SplitStepper:
         return psi
 
 
-def _build_smooth_propagators(tm, offsets, substeps):
-    """U(r, 0) for each requested offset r plus the monodromy U(T, 0).
+_static_memo = None   # H(0) inputs -> eigh(H(0)) inside shared_static_eigh
 
-    The full period is integrated once with Strang steps; steps are laid
-    out segment-wise so every offset lands exactly on a step boundary.
+
+@contextlib.contextmanager
+def shared_static_eigh(schedule):
+    """Hand an undriven run's eigh of H(0) to a later run of ``schedule``
+    on the same H(0) inside the block; only a kick train uses it."""
+    global _static_memo
+    _static_memo = {} if getattr(schedule, "kind", None) == "bangbang" else None
+    try:
+        yield
+    finally:
+        _static_memo = None
+
+
+def _static_eigh(tm):
+    """Eigenpairs of H(0) = H_s + H_R + lam Q Phi (kicks add no term)."""
+    key = (tm.lam,) + tuple(a.tobytes() for a in (
+        tm.system.h_s, tm.system.q, tm.modes.frequencies, tm.modes.couplings))
+    memo = {} if _static_memo is None else _static_memo
+    if key in memo:
+        return memo.pop(key)
+    memo[key] = pair = np.linalg.eigh(build_total_generator(tm, 0.0))
+    return pair
+
+
+def _period_walk(tm, offsets, substeps):
+    """U(r, 0) for each offset r in (0, T), and the monodromy U(T, 0).
+
+    One walk in the joint eigenbasis of H_s and H_dir over the kick times,
+    the offsets and T: between events a smooth drive takes Strang steps
+    (segment-wise, so each offset is a step boundary), a kick schedule the
+    exact static propagator. A kick of weight c multiplies by the diagonal
+    phase exp(-i c e_dir), so on both kinds the state receives
+    V_c(t)* = exp(-i phi(t) H_dir); an offset within 1e-9 T of a kick time
+    sees the kick, as ``ControlSchedule.phase`` counts it.
     """
-    T = tm.schedule.period
+    sched, T = tm.schedule, tm.schedule.period
     d, nr = tm.system.dim, 2**tm.n_modes
     dim = d * nr
-    marks = sorted(set([float(r) for r in offsets if 0.0 < r < T]))
-    bounds = [0.0] + marks + [T]
+    joint = _co_diagonalize(tm.system.h_s, sched.h_dir)
+    _, edir, basis = joint
+    kicks = {}
+    if sched.kind == "bangbang":
+        kicks = dict(zip(sched.kick_phases * T, sched.kick_weights))
+        e, v = _static_eigh(tm)
+        # static eigenvectors in the joint basis
+        v = np.einsum("ji,jbk->ibk", basis.conj(),
+                      v.reshape(d, nr, dim)).reshape(dim, dim)
+    marks = {T: [T]}   # event time -> offsets sampled there; T: monodromy
+    for r in set(float(r) for r in offsets if 0.0 < r < T):
+        at = next((tk for tk in kicks if abs(r - tk) <= 1e-9 * T), r)
+        marks.setdefault(at, []).append(r)
     u = np.eye(dim, dtype=complex).reshape(d, nr, dim)
-    props = {}
-    steppers = {}
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        seg = hi - lo
-        n = max(1, int(round(substeps * seg / T)))
-        h = seg / n
-        key = round(h, 15)
-        if key not in steppers:
-            steppers[key] = _SplitStepper(tm, h)
-        st = steppers[key]
-        for i in range(n):
-            u = st.apply_step(u, lo + i * h)
-        if hi < T:
-            props[hi] = u.reshape(dim, dim).copy()
-    basis = steppers[next(iter(steppers))].sys_basis
-    w_full = np.kron(basis, np.eye(nr))
-    monodromy = w_full @ u.reshape(dim, dim) @ w_full.conj().T
-    props = {r: w_full @ m @ w_full.conj().T for r, m in props.items()}
-    return props, monodromy
-
-
-def _build_piecewise_propagators(tm, offsets):
-    """Exact propagators for kick schedules (constant H between kicks)."""
-    T = tm.schedule.period
-    d, nr = tm.system.dim, 2**tm.n_modes
-    dim = d * nr
-    w, v = np.linalg.eigh(build_total_generator(tm, 0.0))
-
-    def free(tau):
-        return (v * np.exp(-1j * tau * w)) @ v.conj().T
-
-    _, edir, sbasis = _co_diagonalize(tm.system.h_s, tm.schedule.h_dir)
-
-    def kick(c):
-        phases = np.exp(1j * c * edir)
-        k_sys = (sbasis * phases) @ sbasis.conj().T
-        return np.kron(k_sys, np.eye(nr))
-
-    events = [(float(a) * T, float(c)) for a, c in
-              zip(tm.schedule.kick_phases, tm.schedule.kick_weights)]
-    marks = sorted(set([float(r) for r in offsets if 0.0 < r < T]))
-
-    props = {}
-    u = np.eye(dim, dtype=complex)
-    t_cur = 0.0
-    points = sorted(set([t for t, _ in events] + marks + [T]))
-    kicks_at = {t: c for t, c in events}
-    for t_next in points:
-        if t_next > t_cur:
-            u = free(t_next - t_cur) @ u
-            t_cur = t_next
-        if t_next in kicks_at and t_next < T:
-            u = kick(kicks_at[t_next]) @ u
-        if t_next in marks:
-            props[t_next] = u.copy()
-    return props, u
+    props, steppers, t = {}, {}, 0.0
+    for t_next in sorted(set(marks) | set(kicks)):
+        seg = t_next - t
+        if sched.kind == "bangbang":
+            free = v.conj().T @ u.reshape(dim, dim)
+            free *= np.exp(-1j * seg * e)[:, None]
+            u = (v @ free).reshape(d, nr, dim)
+            u *= np.exp(-1j * kicks.get(t_next, 0.0) * edir)[:, None, None]
+        else:
+            n = max(1, int(round(substeps * seg / T)))
+            h = seg / n
+            key = round(h, 15)
+            if key not in steppers:
+                steppers[key] = _SplitStepper(tm, h, joint)
+            for i in range(n):
+                u = steppers[key].apply_step(u, t + i * h)
+        for r in marks.get(t_next, ()):
+            props[r] = u.reshape(dim, dim)
+        t = t_next
+    # back to the computational basis: (basis x 1) m (basis x 1)^dagger
+    props = {r: np.einsum("ia,abjc,kj->ibkc", basis, m.reshape(d, nr, d, nr),
+                          basis.conj()).reshape(dim, dim)
+             for r, m in props.items()}
+    return props, props.pop(T)
 
 
 def _initial_ensemble(tm, rho_s0, rng_seed, max_dense, n_samples):
@@ -335,11 +339,7 @@ def evolve(tm: TotalModel, rho_s0, t_final: float, sample_dt: float,
         wrapped = np.abs(offsets - T) < 1e-9
         periods[wrapped] += 1
         offsets[wrapped] = 0.0
-        if tm.schedule.kind == "bangbang":
-            frags, u_T = _build_piecewise_propagators(tm, offsets)
-        else:
-            frags, u_T = _build_smooth_propagators(tm, offsets,
-                                                   substeps_per_period)
+        frags, u_T = _period_walk(tm, offsets, substeps_per_period)
         schur, w = scipy.linalg.schur(u_T, output="complex")
         off_diagonal = float(np.max(np.abs(np.triu(schur, 1))))
         if off_diagonal > 1e-10:
@@ -351,7 +351,7 @@ def evolve(tm: TotalModel, rho_s0, t_final: float, sample_dt: float,
         for r in frags:
             frags[r] = frags[r] @ w
     else:
-        eps, w = np.linalg.eigh(build_total_generator(tm, 0.0))
+        eps, w = _static_eigh(tm)
         shifts, offsets, frags = times, np.zeros_like(times), {}
 
     psi_e = w.conj().T @ psi

@@ -7,8 +7,8 @@ import pytest
 import decoshield
 from decoshield.cli import main as cli_main
 from decoshield.errors import ArgumentError, ConfigError
-from decoshield.experiments import (ExperimentConfig, Report, emit_report,
-                                    run_experiment, sweep)
+from decoshield.experiments import (ExperimentConfig, Report, _simulate_pair,
+                                    emit_report, run_experiment, sweep)
 
 from oracles import gaussian_p_weight
 
@@ -88,6 +88,21 @@ class TestConfigValidation:
             ExperimentConfig.from_dict(small_doc(dd_tol=tol))
         assert err.value.field_path == "dd_tol"
 
+    @pytest.mark.parametrize("overrides, path", [
+        ({"reservoir.form_factor": "lorentz"}, "reservoir.form_factor"),
+        ({"reservoir.params": {"width": 2}}, "reservoir.params.width"),
+        ({"reservoir.params": {"scale": "x"}}, "reservoir.params.scale"),
+    ], ids=["unknown-name", "unknown-key", "string-value"])
+    def test_bad_form_factor_names_field(self, overrides, path):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict(small_doc(**overrides))
+        assert err.value.field_path == path
+
+    def test_form_factor_params_reach_the_profile(self):
+        cfg = ExperimentConfig.from_dict(
+            small_doc(**{"reservoir.params": {"scale": 2}}))
+        assert cfg.form_factor.f(1.0) == pytest.approx(2 * math.exp(-0.5))
+
     def test_bundled_scenario_is_valid(self):
         cfg = ExperimentConfig.from_file(
             decoshield.scenario_path("spin-fermion-sinusoidal"))
@@ -96,6 +111,25 @@ class TestConfigValidation:
 
 
 class TestRunExperiment:
+    def test_kick_point_diagonalizes_the_static_hamiltonian_once(
+            self, monkeypatch):
+        # the kicked run and the undriven run share H(0) = H_s + H_R + lam Q Phi
+        cfg = ExperimentConfig.from_dict(small_doc(schedule={
+            "kind": "bangbang", "period": 0.25, "phases": [0.25, 0.75],
+            "weights": [math.pi / 2, -math.pi / 2]}))
+        dim = cfg.model.dim * 2**cfg.n_modes
+        eigh = np.linalg.eigh
+        sizes = []
+
+        def counting(a, *args, **kwargs):
+            sizes.append(np.shape(a)[0])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        results = _simulate_pair(cfg)
+        assert set(results) == {"on", "off"}
+        assert sizes.count(dim) == 1
+
     def test_pipeline_outputs(self, tmp_path):
         cfg = ExperimentConfig.from_dict(small_doc())
         report = run_experiment(cfg, out_dir=tmp_path)

@@ -136,43 +136,61 @@ class TestEvolve:
             assert trace_distance(traj.reduced_states[i], ref) < 1e-8
 
     def test_bangbang_against_piecewise_exponentials(self, reservoir):
+        # a kick of weight c multiplies the state by exp(-i c H_dir); at
+        # c = pi/2 the opposite rotation differs from it by a global phase
+        # only, at c = 0.3 it does not
         ff = reservoir
         modes = modeset(ff, 2)
-        sched = ControlSchedule.bangbang(0.5, [0.25, 0.75],
-                                         [np.pi / 2, -np.pi / 2])
-        tm = TotalModel(SystemModel.qubit(), modes, 0.2, sched)
-        h = build_total_generator(tm, 0.0)
-        kick_up = np.kron(scipy.linalg.expm(1j * (np.pi / 2)
-                                            * np.diag([1.0, -1.0])),
-                          np.eye(4))
-        kick_dn = kick_up.conj().T
         rho_full = np.kron(plus_state(), thermal_reservoir_state(modes))
+        for weight in (np.pi / 2, 0.3):
+            sched = ControlSchedule.bangbang(0.5, [0.25, 0.75],
+                                             [weight, -weight])
+            tm = TotalModel(SystemModel.qubit(), modes, 0.2, sched)
+            h = build_total_generator(tm, 0.0)
+            kick_up = np.kron(scipy.linalg.expm(-1j * weight
+                                                * np.diag([1.0, -1.0])),
+                              np.eye(4))
+            kick_dn = kick_up.conj().T
 
-        def propagate(t):
-            events = []
-            n = 0
-            while True:
-                for alpha, kick in ((0.25, kick_up), (0.75, kick_dn)):
-                    tk = (n + alpha) * 0.5
-                    if tk < t - 1e-12:
-                        events.append((tk, kick))
-                n += 1
-                if n * 0.5 >= t:
-                    break
-            u = np.eye(8, dtype=complex)
-            prev = 0.0
-            for tk, kick in sorted(events):
-                u = kick @ scipy.linalg.expm(-1j * (tk - prev) * h) @ u
-                prev = tk
-            return scipy.linalg.expm(-1j * (t - prev) * h) @ u
+            def propagate(t):
+                events = []
+                n = 0
+                while True:
+                    for alpha, kick in ((0.25, kick_up), (0.75, kick_dn)):
+                        tk = (n + alpha) * 0.5
+                        if tk < t - 1e-12:
+                            events.append((tk, kick))
+                    n += 1
+                    if n * 0.5 >= t:
+                        break
+                u = np.eye(8, dtype=complex)
+                prev = 0.0
+                for tk, kick in sorted(events):
+                    u = kick @ scipy.linalg.expm(-1j * (tk - prev) * h) @ u
+                    prev = tk
+                return scipy.linalg.expm(-1j * (t - prev) * h) @ u
 
-        # the second input reaches 124 periods through the monodromy power
-        for t_final, sample_dt in ((1.5, 0.25), (62.0, 7.75)):
-            traj = evolve(tm, plus_state(), t_final, sample_dt)
-            for i, t in enumerate(traj.times):
-                u = propagate(float(t))
-                ref = partial_trace(u @ rho_full @ u.conj().T, [2, 4], [0])
-                assert trace_distance(traj.reduced_states[i], ref) < 1e-10
+            # the second input reaches 124 periods through the monodromy power
+            for t_final, sample_dt in ((1.5, 0.25), (62.0, 7.75)):
+                traj = evolve(tm, plus_state(), t_final, sample_dt)
+                for i, t in enumerate(traj.times):
+                    u = propagate(float(t))
+                    ref = partial_trace(u @ rho_full @ u.conj().T, [2, 4], [0])
+                    assert trace_distance(traj.reduced_states[i], ref) < 1e-10
+
+    @pytest.mark.parametrize("sample_dt", [0.2, 0.1])
+    def test_general_kicks_match_effective_at_zero_coupling(self, reservoir,
+                                                             sample_dt):
+        # at lambda = 0 the kicked run is the reference dynamics; weights
+        # +-0.3 show a kick rotating the wrong way, and sample_dt = 0.1 puts
+        # every other sample on a kick time, which the sample must see
+        sched = ControlSchedule.bangbang(0.4, [0.25, 0.75], [0.3, -0.3])
+        tm = TotalModel(SystemModel.qubit(), modeset(reservoir, 2), 0.0, sched)
+        traj = evolve(tm, plus_state(), 2.0, sample_dt)
+        for t, rho in zip(traj.times, traj.reduced_states):
+            ref = effective_dynamics(SystemModel.qubit(), sched, plus_state(),
+                                     float(t))
+            assert trace_distance(rho, ref) < 1e-12
 
     def test_smooth_fragments_against_ordered_propagator(self, reservoir):
         # sample_dt = 2T/3 puts most samples inside a period
@@ -211,22 +229,22 @@ class TestEvolve:
         sched = ControlSchedule.bangbang(0.5, [0.25, 0.75],
                                          [np.pi / 2, -np.pi / 2])
         tm = TotalModel(SystemModel.qubit(), modeset(ff, 2), 0.2, sched)
-        build = simulate._build_piecewise_propagators
+        build = simulate._period_walk
 
         def distorted(factor):
-            def patched(tm, offsets):
-                frags, u_t = build(tm, offsets)
+            def patched(tm, offsets, substeps):
+                frags, u_t = build(tm, offsets, substeps)
                 return frags, u_t @ factor
             return patched
 
         # a uniform gain of 1e-9 per period shows as |lambda|^{2n} - 1
-        monkeypatch.setattr(simulate, "_build_piecewise_propagators",
+        monkeypatch.setattr(simulate, "_period_walk",
                             distorted((1 + 1e-9) * np.eye(8)))
         traj = evolve(tm, plus_state(), 50.0, 5.0)
         assert traj.trace_defect == pytest.approx((1 + 1e-9) ** 200 - 1,
                                                   rel=1e-4)
         # a non-normal monodromy has no exact diagonal Floquet form
-        monkeypatch.setattr(simulate, "_build_piecewise_propagators",
+        monkeypatch.setattr(simulate, "_period_walk",
                             distorted(np.eye(8) + 1e-6 * np.eye(8, k=1)))
         with pytest.raises(NumericError) as err:
             evolve(tm, plus_state(), 1.0, 0.5)
