@@ -1,4 +1,5 @@
-"""Decoherence suppression on the bundled scenario (runs ~20 s).
+"""Decoherence suppression on the bundled scenario (about 10 s on one
+BLAS thread of a 2-vCPU host).
 
 Simulates the qubit coupled to the discretized fermionic reservoir
 twice -- once with the tuned sinusoidal drive and once without any

@@ -45,7 +45,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None,
                        help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None,
-                       help="seed override for stochastic sub-sampling")
+                       help="seed recorded in the report provenance; "
+                            "it changes no output")
         p.add_argument("--format", default="json",
                        choices=["json", "csv", "markdown-summary"],
                        help="report serialization format")
@@ -148,12 +149,10 @@ def _cmd_simulate(args, cfg) -> int:
     report = run_experiment(cfg)
     if args.format != "json":
         emit_report(report, args.format, _out_dir(cfg))
-    on = report.runs["on"]
-    print(f"run on : retention {on['final_retention']:.6g}, "
-          f"sup deviation {on['sup_deviation']:.6g}")
-    off = report.runs["off"]
-    print(f"run off: retention {off['final_retention']:.6g}, "
-          f"sup deviation {off['sup_deviation']:.6g}")
+    for label in ("on", "off"):
+        run = report.runs[label]
+        print(f"run {label:3s}: retention {_g6(run['final_retention'])}, "
+              f"sup deviation {run['sup_deviation']:.6g}")
     return EXIT_OK
 
 
@@ -168,7 +167,7 @@ def _cmd_sweep(args, cfg) -> int:
     emit_report(report, args.format, _out_dir(cfg))
     for row in rows:
         print(f"{args.axis}={row['value']:g}: xi={_g6(row['xi'])}, "
-              f"t_dec={_g6(row['t_dec'])}, retention={row['retention']:.6g}")
+              f"t_dec={_g6(row['t_dec'])}, retention={_g6(row['retention'])}")
     return EXIT_OK
 
 
@@ -176,11 +175,10 @@ def _cmd_compare(args, cfg) -> int:
     report = run_experiment(cfg)
     if args.format != "json":
         emit_report(report, args.format, _out_dir(cfg))
-    on, off = report.runs["on"], report.runs["off"]
-    ratio = (on["final_retention"] / off["final_retention"]
-             if off["final_retention"] > 0 else np.inf)
-    print(f"retention on/off = {on['final_retention']:.6g} / "
-          f"{off['final_retention']:.6g} (ratio {ratio:.3g})")
+    on, off = (report.runs[k]["final_retention"] for k in ("on", "off"))
+    ratio = ("null" if on is None or off is None
+             else f"{on / off if off > 0 else np.inf:.3g}")
+    print(f"retention on/off = {_g6(on)} / {_g6(off)} (ratio {ratio})")
     return EXIT_OK
 
 

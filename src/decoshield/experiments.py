@@ -5,7 +5,7 @@ coupling, run horizon); the runner executes the decoupling check, the
 second-order rate calculation, exact simulations with the forcing on and
 off, and the comparison against the coherence-preserving reference. All
 outputs (trajectory CSVs, report) are deterministic functions of the
-config and seed.
+config; the seed is only recorded in the provenance.
 """
 
 from __future__ import annotations
@@ -60,11 +60,19 @@ def _get(mapping, path, expected=None, default=_MISSING):
                 return default
             raise ConfigError(".".join(parts[: i + 1]), "missing required field")
         node = node[part]
-    if expected is not None and not isinstance(node, expected):
-        names = expected if isinstance(expected, tuple) else (expected,)
+    if expected is None:
+        return node
+    names = expected if isinstance(expected, tuple) else (expected,)
+    # bool is an int subclass, but a JSON true is no number
+    if not isinstance(node, expected) or (isinstance(node, bool)
+                                          and bool not in names):
         raise ConfigError(path, "expected " + "/".join(t.__name__ for t in names)
                           + f", got {type(node).__name__}")
     return node
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _parse_matrix(raw, path):
@@ -77,10 +85,10 @@ def _parse_matrix(raw, path):
             raise ConfigError(f"{path}[{i}]", "matrix must be square")
         parsed = []
         for j, entry in enumerate(row):
-            if isinstance(entry, (int, float)):
+            if _is_number(entry):
                 parsed.append(complex(entry))
             elif (isinstance(entry, list) and len(entry) == 2
-                  and all(isinstance(v, (int, float)) for v in entry)):
+                  and all(_is_number(v) for v in entry)):
                 parsed.append(complex(entry[0], entry[1]))
             else:
                 raise ConfigError(f"{path}[{i}][{j}]",
@@ -148,6 +156,11 @@ class ExperimentConfig:
             elif kind == "bangbang":
                 phases = _get(doc, "schedule.phases", list)
                 weights = _get(doc, "schedule.weights", list)
+                for key, values in (("phases", phases), ("weights", weights)):
+                    for i, v in enumerate(values):
+                        if not _is_number(v):
+                            raise ConfigError(f"schedule.{key}[{i}]",
+                                              "expected a number")
                 schedule = ControlSchedule.bangbang(period, phases, weights,
                                                    h_dir=h_dir)
             elif kind == "off":
@@ -313,8 +326,7 @@ def _simulate_pair(cfg: ExperimentConfig):
             tm = TotalModel(system=cfg.model, modes=modes, lam=cfg.lam,
                             schedule=sched)
             traj = evolve(tm, cfg.initial_state, cfg.horizon, cfg.sample_dt,
-                          substeps_per_period=cfg.substeps_per_period,
-                          rng_seed=cfg.seed)
+                          substeps_per_period=cfg.substeps_per_period)
             results[label] = (traj,
                               compare_with_effective(traj, cfg.model, sched))
     return results
@@ -398,7 +410,7 @@ def write_trajectory_csv(traj: Trajectory, dev: DeviationReport, path):
 
 
 def _g6(x) -> str:
-    """Six significant digits, or null for a missing rate."""
+    """Six significant digits, or null for a missing rate or retention."""
     return "null" if x is None else f"{x:.6g}"
 
 
@@ -499,7 +511,7 @@ def emit_report(report: Report, fmt: str, out_dir) -> Path:
                       f"- decoherence time t_dec: {report.rates['t_dec']:.6g}"]
         for label, run in sorted(report.runs.items()):
             lines += [f"- run {label}: final retention "
-                      f"{run['final_retention']:.6g}, sup deviation "
+                      f"{_g6(run['final_retention'])}, sup deviation "
                       f"{run['sup_deviation']:.6g}"]
         if report.sweep:
             lines += ["", "| value | xi | t_dec | retention | sup_deviation |",

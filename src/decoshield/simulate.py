@@ -13,9 +13,10 @@ every power U_T^n = W lambda^n W^dagger (Floquet form); the uncontrolled
 baseline is sampled the same way in the eigenbasis of the static
 Hamiltonian.
 
-The thermal average is exact: one pure state per reservoir occupation
-bitstring, weighted by its Fermi-Dirac product probability (a seeded
-sub-sampling kicks in only above the dense-ensemble size guard).
+The thermal average is exact: the initial density matrix, the system
+state times the Fermi-Dirac product weights of the reservoir occupation
+bitstrings, is held in the Floquet basis, and each reduced state is read
+from it with the sample's phases.
 """
 
 from __future__ import annotations
@@ -269,66 +270,28 @@ def _period_walk(tm, offsets, substeps):
     return props, props.pop(T)
 
 
-def _initial_ensemble(tm, rho_s0, rng_seed, max_dense, n_samples):
-    """Columns sqrt(weight) |chi_s> x |b> spanning the initial product state."""
-    d, n = tm.system.dim, tm.n_modes
-    ws, vs = np.linalg.eigh(np.asarray(rho_s0, complex))
-    sys_states = [(float(w), vs[:, i]) for i, w in enumerate(ws) if w > 1e-14]
-    occ = tm.modes.occupations
-    n_res = 2**n
-    if n_res * len(sys_states) <= max_dense:
-        bits = ((np.arange(n_res)[:, None] >> (n - 1 - np.arange(n))) & 1)
-        probs = np.prod(np.where(bits == 1, occ[None, :], 1.0 - occ[None, :]),
-                        axis=1)
-        res_idx = np.arange(n_res)
-        res_w = probs
-    else:
-        rng = np.random.default_rng(rng_seed)
-        draws = (rng.random((n_samples, n)) < occ[None, :]).astype(int)
-        res_idx = draws @ (1 << (n - 1 - np.arange(n)))
-        res_w = np.full(n_samples, 1.0 / n_samples)
-    cols = []
-    weights = []
-    for w_s, chi in sys_states:
-        for idx, w_b in zip(res_idx, res_w):
-            if w_b == 0.0:
-                continue
-            vec = np.zeros(d * n_res, dtype=complex)
-            vec[np.arange(d) * n_res + idx] = chi
-            cols.append(vec)
-            weights.append(w_s * w_b)
-    psi = np.array(cols).T * np.sqrt(np.array(weights))[None, :]
-    return psi  # (dim, K), rho_total = psi psi^dagger
-
-
-def _reduced(psi, d, nr):
-    resh = psi.reshape(d, nr, psi.shape[1])
-    return np.einsum("aBk,bBk->ab", resh, resh.conj())
-
-
 def evolve(tm: TotalModel, rho_s0, t_final: float, sample_dt: float,
-           substeps_per_period: int = 1024, rng_seed: int = 0,
-           max_dense_ensemble: int = 2**12,
-           unravel_samples: int = 256) -> Trajectory:
+           substeps_per_period: int = 1024) -> Trajectory:
     """Propagate the joint state and sample the reduced density matrix.
 
-    The initial total state is rho_s0 tensor the thermal reservoir state.
-    Every sample t = nT + r is (F_r W) exp(-i eps s) W^dagger psi_0, F_r
-    the cached intra-period propagator: driven runs take W and
-    eps = i log(lambda) / T from the Schur form of the monodromy and
-    s = nT, undriven runs the eigenbasis of the static Hamiltonian, s = t.
+    The initial total state rho_s0 x diag(p), p_b the Fermi-Dirac product
+    probability of occupation bitstring b, is held as C = W^dagger rho W in
+    the Floquet basis W: driven runs take W and eps = i log(lambda) / T
+    from the Schur form of the monodromy and s = nT, undriven runs the
+    eigenbasis of the static Hamiltonian, s = t. A sample t = nT + r is
+    Tr_R[Y D C D^* Y^*] with Y = F_r W, F_r the cached intra-period
+    propagator, and D = exp(-i eps s). Per offset r and system pair
+    (a, b) that is one block (Y_a^T conj(Y_b)) o C, contracted with the
+    phases of all of r's samples in one product.
     """
     rho_s0 = np.asarray(rho_s0, dtype=complex)
     _validate_state(rho_s0)
     if not sample_dt > 0 or t_final < 0:
         raise ArgumentError("need t_final >= 0 and sample_dt > 0")
-    d, nr = tm.system.dim, 2**tm.n_modes
+    n, d, nr = tm.n_modes, tm.system.dim, 2**tm.n_modes
+    dim = d * nr
 
     times = np.round(np.arange(0.0, t_final + 0.5 * sample_dt, sample_dt), 12)
-    psi = _initial_ensemble(tm, rho_s0, rng_seed, max_dense_ensemble,
-                            unravel_samples)
-    norms0 = np.sum(np.abs(psi) ** 2)
-
     driven = tm.schedule is not None and not (
         tm.schedule.kind == "smooth" and tm.schedule.mu == 0.0)
 
@@ -341,42 +304,58 @@ def evolve(tm: TotalModel, rho_s0, t_final: float, sample_dt: float,
         offsets[wrapped] = 0.0
         frags, u_T = _period_walk(tm, offsets, substeps_per_period)
         schur, w = scipy.linalg.schur(u_T, output="complex")
+        del u_T
         off_diagonal = float(np.max(np.abs(np.triu(schur, 1))))
         if off_diagonal > 1e-10:
             raise NumericError("monodromy is not normal",
                                diagnostics={"off_diagonal": off_diagonal})
         # complex log: |lambda|^n is kept, so a non-unitary U_T shows below
         eps = 1j * np.log(np.diag(schur)) / T
+        del schur
         shifts = periods * T
-        for r in frags:
-            frags[r] = frags[r] @ w
     else:
         eps, w = _static_eigh(tm)
         shifts, offsets, frags = times, np.zeros_like(times), {}
 
-    psi_e = w.conj().T @ psi
+    bits = (np.arange(nr)[:, None] >> (n - 1 - np.arange(n))) & 1
+    occ = tm.modes.occupations
+    probs = np.prod(np.where(bits == 1, occ, 1.0 - occ), axis=1)
+    # C = W^dagger X with X = (rho_s0 x diag(p)) W, the system factor
+    # contracted first; C is Hermitian, so C = conj(X)^T W
+    x = np.einsum("ab,bBj->aBj", rho_s0, w.reshape(d, nr, dim))
+    x *= probs[:, None]
+    c = np.conj(x, out=x).reshape(dim, dim).T @ w
+    del x
 
-    def advance(s, basis=w):
-        return basis @ (np.exp(-1j * s * eps)[:, None] * psi_e)
-
-    states = [_reduced(advance(s, frags[r] if r > 0.0 else w), d, nr)
-              for s, r in zip(shifts, offsets)]
-    final = advance(shifts.max())
-
-    norms1 = np.sum(np.abs(final) ** 2)
-    trace_defect = abs(norms1 - norms0)
+    # W is unitary: trace and purity of the final state from C and phases
+    gain = np.abs(np.exp(-1j * shifts.max() * eps)) ** 2
+    trace_defect = abs(float(c.diagonal().real @ gain - np.trace(c).real))
     if trace_defect > 1e-6:
         raise NumericError("trace drift exceeded bound",
                            diagnostics={"drift": trace_defect})
-    # purity of the exact mixture: sum_{bb'} |<psi_b|psi_b'>|^2
-    g0 = psi.conj().T @ psi
-    g1 = final.conj().T @ final
-    purity_defect = abs(float(np.sum(np.abs(g1) ** 2))
-                        - float(np.sum(np.abs(g0) ** 2)))
+    c2 = np.abs(c) ** 2
+    purity_defect = abs(float(gain @ c2 @ gain - c2.sum()))
+    del c2
 
-    return Trajectory(times=times, reduced_states=states,
-                      initial_state=rho_s0, trace_defect=float(trace_defect),
-                      purity_defect=float(purity_defect))
+    states = np.empty((len(times), d, d), dtype=complex)
+    for r in np.unique(offsets):
+        idx = np.flatnonzero(offsets == r)
+        y = (frags.pop(r) @ w if r > 0.0 else w).reshape(d, nr, dim)
+        phases = np.exp(-1j * np.outer(eps, shifts[idx]))
+        back = phases.conj()
+        for a in range(d):
+            for b in range(a, d):
+                block = y[a].T @ y[b].conj()
+                block *= c
+                rho_ab = np.einsum("is,is->s", phases, block @ back)
+                del block
+                states[idx, b, a] = rho_ab.conj()
+                states[idx, a, b] = rho_ab
+        del y
+
+    return Trajectory(times=times, reduced_states=list(states),
+                      initial_state=rho_s0, trace_defect=trace_defect,
+                      purity_defect=purity_defect)
 
 
 def trace_distance(a, b) -> float:
@@ -391,8 +370,8 @@ class DeviationReport:
     times: np.ndarray
     deviations: np.ndarray
     sup_deviation: float
-    retention: np.ndarray
-    final_retention: float
+    retention: Optional[np.ndarray]    # None: rho0 has no such coherence
+    final_retention: Optional[float]
 
 
 def compare_with_effective(traj: Trajectory, model: SystemModel,
@@ -408,9 +387,10 @@ def compare_with_effective(traj: Trajectory, model: SystemModel,
         devs.append(trace_distance(rho, ref))
     devs = np.array(devs)
     m, n = coherence_pair
-    coh = traj.coherence(m, n)
-    retention = coh / coh[0] if coh[0] > 0 else np.full_like(coh, np.nan)
+    coh0 = abs(rho0[m, n])
+    retention = traj.coherence(m, n) / coh0 if coh0 > 0 else None
     return DeviationReport(times=traj.times, deviations=devs,
                            sup_deviation=float(devs.max()),
                            retention=retention,
-                           final_retention=float(retention[-1]))
+                           final_retention=None if retention is None
+                           else float(retention[-1]))

@@ -98,6 +98,28 @@ class TestConfigValidation:
             ExperimentConfig.from_dict(small_doc(**overrides))
         assert err.value.field_path == path
 
+    @pytest.mark.parametrize("path, value, field", [
+        ("coupling", True, "coupling"),
+        ("reservoir.n_modes", True, "reservoir.n_modes"),
+        ("run.substeps_per_period", True, "run.substeps_per_period"),
+        ("reservoir.params", {"scale": True}, "reservoir.params.scale"),
+        ("system.q", [[0, True], [1, 0]], "system.q[0][1]"),
+        ("system.q", [[0, [True, 0]], [1, 0]], "system.q[0][1]"),
+        ("schedule", {"kind": "bangbang", "period": 0.25,
+                      "phases": [0.25, 0.75], "weights": [1.5, True]},
+         "schedule.weights[1]"),
+        ("schedule", {"kind": "bangbang", "period": 0.25,
+                      "phases": ["x", 0.75], "weights": [1.5, -1.5]},
+         "schedule.phases[0]"),
+    ], ids=["coupling", "n_modes", "substeps", "params", "matrix", "pair",
+            "kick-weight", "kick-phase-string"])
+    def test_non_number_rejected_naming_the_field(self, path, value, field):
+        # bool is an int subclass, yet a JSON true must not read as 1; a
+        # kick list entry is checked like any other number
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict(small_doc(**{path: value}))
+        assert err.value.field_path == field
+
     def test_form_factor_params_reach_the_profile(self):
         cfg = ExperimentConfig.from_dict(
             small_doc(**{"reservoir.params": {"scale": 2}}))
@@ -319,6 +341,33 @@ class TestCli:
         assert cli_main(["compare", "--config", cfg,
                          "--out", str(out)]) == 0
         assert "ratio" in capsys.readouterr().out
+
+    def test_incoherent_state_retention_is_null(self, tmp_path, capsys):
+        # rho0 = diag(1, 0) has no coherence to retain; dividing by the
+        # t = 0 sample would divide by rounding noise
+        out = tmp_path / "res"
+        doc = small_doc(**{"schedule": {"kind": "bangbang", "period": 0.25,
+                                        "phases": [0.25, 0.75],
+                                        "weights": [math.pi / 2,
+                                                    -math.pi / 2]},
+                           "reservoir.n_modes": 3,
+                           "initial_state": [[1, 0], [0, 0]]})
+        cfg = self.write_config(tmp_path, doc)
+        assert cli_main(["simulate", "--config", cfg,
+                         "--out", str(out)]) == 0
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        report = json.loads((out / "report.json").read_text(),
+                            parse_constant=reject)
+        assert report["runs"]["on"]["final_retention"] is None
+        assert report["runs"]["off"]["final_retention"] is None
+        assert cli_main(["compare", "--config", cfg,
+                         "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert "run on : retention null" in printed
+        assert "retention on/off = null / null (ratio null)" in printed
 
     def test_simulate_non_unit_gap_qubit_records_rates(self, tmp_path):
         # H_s = diag(0.5, -0.5) has Bohr frequencies +-1: rates like any model
