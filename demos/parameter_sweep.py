@@ -1,4 +1,5 @@
-"""Retention versus drive period (runs ~2 min).
+"""Retention versus drive period (about 9 s on one BLAS thread of a
+2-vCPU host).
 
 Shrinking the drive period pushes the coupling's Fourier weight to
 higher frequencies, where the reservoir has no spectral weight, so

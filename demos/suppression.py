@@ -1,4 +1,4 @@
-"""Decoherence suppression on the bundled scenario (about 10 s on one
+"""Decoherence suppression on the bundled scenario (about 3 s on one
 BLAS thread of a 2-vCPU host).
 
 Simulates the qubit coupled to the discretized fermionic reservoir

@@ -23,8 +23,7 @@ from .reservoir import (FormFactor, ModeSet, SpectralFunction,
                         glue_form_factor, make_form_factor, pv_integral,
                         spectral_function)
 from .simulate import (DeviationReport, TotalModel, Trajectory,
-                       build_total_generator, compare_with_effective, evolve,
-                       jordan_wigner_annihilators, trace_distance)
+                       compare_with_effective, evolve, trace_distance)
 from .weak_coupling import (RateSummary, WeakCouplingGenerator,
                             corrected_propagate, decoherence_time,
                             level_shift, xi_rate)

@@ -24,8 +24,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .control import (ControlSchedule, DDReport, SystemModel, check_dd,
-                      commutation_defect, operator_norm)
+from .control import (ControlSchedule, DDReport, SystemModel, _validate_state,
+                      check_dd, commutation_defect, operator_norm)
 from .errors import ArgumentError, ConfigError, DecouplingViolationError
 from .reservoir import (FormFactor, discretize_modes, form_factor_registry,
                         make_form_factor, spectral_function)
@@ -237,6 +237,10 @@ class ExperimentConfig:
                 raise ConfigError("initial_state",
                                   f"dimension {state.shape[0]} != system "
                                   f"dimension {model.dim}")
+            try:
+                _validate_state(state)
+            except ArgumentError as exc:
+                raise ConfigError("initial_state", str(exc))
 
         dd_tol = float(_get(doc, "dd_tol", (int, float), 1e-7))
         if not dd_tol > 0:
@@ -493,6 +497,8 @@ def emit_report(report: Report, fmt: str, out_dir) -> Path:
             elif isinstance(node, list):
                 for i, item in enumerate(node):
                     flat(f"{prefix}[{i}]", item)
+            elif node is None or isinstance(node, bool):
+                lines.append(f"{prefix},{json.dumps(node)}")
             else:
                 val = _fmt(node) if isinstance(node, float) else str(node)
                 lines.append(f"{prefix},{val}")

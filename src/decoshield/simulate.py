@@ -1,12 +1,17 @@
 """Exact dynamics of the system coupled to a finite fermionic mode star.
 
-The reservoir is a Jordan-Wigner chain of N fermionic modes in a thermal
-product state. The total Hamiltonian is T-periodic, so long horizons are
-reached through the one-period propagator (monodromy) U_T, built once by
-one walk over the period in the joint eigenbasis of H_s and H_dir: a smooth
-drive takes fine-grained Strang steps whose diagonal factor (system,
-control and mode energies) is integrated exactly, a kick schedule the
-exact static propagator between kicks. On both kinds the state receives
+The reservoir is N fermionic modes in a thermal product state on the 2^N
+occupation bitstrings. Its field operator Phi = sum_j f_j (a_j + a_j^*) /
+sqrt 2 is sparse: a_j + a_j^* flips bit j with the sign (-1)^(occupied
+modes before j), and the anticommutation relations give Phi^2 = g^2,
+g = ||f|| / sqrt 2, so a Strang step's coupling factor has a closed form.
+
+The total Hamiltonian is T-periodic, so long horizons are reached through
+the one-period propagator (monodromy) U_T, built once by one walk over the
+period in the joint eigenbasis of H_s and H_dir: a smooth drive takes
+fine-grained Strang steps whose diagonal factor (system, control and mode
+energies) is integrated exactly, a kick schedule the exact static
+propagator between kicks. On both kinds the state receives
 V_c(t)* = exp(-i phi(t) H_dir), so a kick of weight c multiplies it by
 the diagonal phase exp(-i c H_dir). The complex Schur form of U_T gives
 every power U_T^n = W lambda^n W^dagger (Floquet form); the uncontrolled
@@ -22,13 +27,13 @@ from it with the sample's phases.
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .control import (ControlSchedule, SystemModel, _validate_state,
                       commutation_defect, effective_dynamics)
@@ -39,30 +44,12 @@ __all__ = [
     "TotalModel",
     "Trajectory",
     "DeviationReport",
-    "jordan_wigner_annihilators",
-    "build_total_generator",
     "evolve",
     "compare_with_effective",
     "trace_distance",
 ]
 
 DIMENSION_GUARD = 2**14
-
-
-def jordan_wigner_annihilators(n_modes: int):
-    """Annihilation operators on the 2^N occupation space.
-
-    Basis per mode: index 0 empty, index 1 occupied; sign strings on the
-    preceding factors enforce the anticommutation relations.
-    """
-    if n_modes < 1:
-        raise ArgumentError("need at least one mode")
-    a = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    z = np.diag([1.0, -1.0]).astype(complex)
-    eye = np.eye(2, dtype=complex)
-    return [functools.reduce(np.kron,
-                             [z] * j + [a] + [eye] * (n_modes - j - 1))
-            for j in range(n_modes)]
 
 
 @dataclass(frozen=True)
@@ -90,34 +77,23 @@ class TotalModel:
     def dim_total(self) -> int:
         return self.system.dim * 2**self.modes.n_modes
 
-    def reservoir_hamiltonian_diagonal(self) -> np.ndarray:
-        """Diagonal of sum_j w_j a_j^* a_j in the occupation basis."""
-        n = self.n_modes
-        diag = np.zeros(2**n)
-        for j, w in enumerate(self.modes.frequencies):
-            bit = (np.arange(2**n) >> (n - 1 - j)) & 1
-            diag += w * bit
-        return diag
+    def reservoir(self):
+        """Mode-energy diagonal, Fermi-Dirac weights and field operator on
+        the 2^N occupation bitstrings, mode 0 the leftmost bit.
 
-    def field_operator(self) -> np.ndarray:
-        """Phi = (1/sqrt 2) sum_j f_j (a_j + a_j^*)."""
-        ops = jordan_wigner_annihilators(self.n_modes)
-        phi = np.zeros((2**self.n_modes, 2**self.n_modes), dtype=complex)
-        for f, aj in zip(self.modes.couplings, ops):
-            phi += f / math.sqrt(2.0) * (aj + aj.conj().T)
-        return phi
-
-
-def build_total_generator(tm: TotalModel, t: float) -> np.ndarray:
-    """Dense H(t) = H_s + H_R + lam Q Phi, plus H_c(t) for smooth schedules."""
-    d = tm.system.dim
-    nr = 2**tm.n_modes
-    h = np.kron(tm.system.h_s, np.eye(nr))
-    h = h + np.kron(np.eye(d), np.diag(tm.reservoir_hamiltonian_diagonal()))
-    h = h + tm.lam * np.kron(tm.system.q, tm.field_operator())
-    if tm.schedule is not None and tm.schedule.kind == "smooth":
-        h = h + np.kron(tm.schedule.h_c(t), np.eye(nr))
-    return h
+        Phi = sum_j f_j (a_j + a_j^*) / sqrt 2 is sparse and real: a_j + a_j^*
+        flips bit j with the sign (-1)^(occupied modes before j).
+        """
+        n, nr = self.n_modes, 2**self.n_modes
+        bits = (np.arange(nr)[:, None] >> (n - 1 - np.arange(n))) & 1
+        occ = self.modes.occupations
+        weights = np.prod(np.where(bits == 1, occ, 1.0 - occ), axis=1)
+        signs = 1 - 2 * ((np.cumsum(bits, axis=1) - bits) & 1)
+        flipped = np.arange(nr)[:, None] ^ (1 << (n - 1 - np.arange(n)))
+        phi = scipy.sparse.csr_matrix(
+            ((signs * (self.modes.couplings / math.sqrt(2.0))).ravel(),
+             (flipped.ravel(), np.repeat(np.arange(nr), n))), shape=(nr, nr))
+        return bits @ self.modes.frequencies, weights, phi
 
 
 @dataclass
@@ -152,23 +128,21 @@ def _co_diagonalize(h_s, h_dir):
 
 
 class _SplitStepper:
-    """Strang splitting with exact diagonal phases and a constant kick part."""
+    """Strang splitting: exact diagonal phases around the coupling factor
+    exp(-i h lam Q x Phi) = cos(theta Q) x 1 - i sin(theta Q) x Phi / g,
+    theta = h lam g, which Phi^2 = g^2 = ||f||^2 / 2 gives (1 at g = 0)."""
 
     def __init__(self, tm: TotalModel, step: float, joint):
-        self.tm = tm
-        self.step = step
-        self.d = tm.system.dim
+        self.schedule, self.step = tm.schedule, step
         self.es, self.edir, v = joint
-        self.er = tm.reservoir_hamiltonian_diagonal()
-        q = v.conj().T @ tm.system.q @ v
-        self.qw, self.qv = np.linalg.eigh(q)
-        phi = tm.field_operator()
-        pw, pv = np.linalg.eigh(phi)
-        # coupling blocks exp(-i h lam q_i Phi), one per system eigenchannel
-        self.blocks = [
-            (pv * np.exp(-1j * step * tm.lam * qi * pw)) @ pv.conj().T
-            for qi in self.qw
-        ]
+        self.er, _, phi = tm.reservoir()
+        g = math.sqrt(0.5 * float(tm.modes.couplings @ tm.modes.couplings))
+        self.phi = phi / g if g > 0 else phi
+        qw, qv = np.linalg.eigh(v.conj().T @ tm.system.q @ v)
+        theta = step * tm.lam * g * qw
+        # [cos(theta Q), -i sin(theta Q)], applied to [psi; Phi psi / g]
+        self.kick = np.hstack([(qv * np.cos(theta)) @ qv.conj().T,
+                               (qv * (-1j * np.sin(theta))) @ qv.conj().T])
 
     def diag_phases(self, dt, dphi):
         return np.exp((-1j) * (dt * (self.es[:, None] + self.er[None, :])
@@ -176,17 +150,19 @@ class _SplitStepper:
 
     def apply_step(self, psi, t):
         """One Strang step on psi shaped (d, 2^N, K), in the joint eigenbasis."""
-        sched = self.tm.schedule
-        h = self.step
+        sched, h, d = self.schedule, self.step, len(psi)
         phi0 = float(sched.phase(t))
         phi1 = float(sched.phase(t + 0.5 * h))
         phi2 = float(sched.phase(t + h))
-        psi = psi * self.diag_phases(0.5 * h, phi1 - phi0)[:, :, None]
-        rot = np.einsum("ij,jbk->ibk", self.qv.conj().T, psi)
-        for i in range(self.d):
-            rot[i] = self.blocks[i] @ rot[i]
-        psi = np.einsum("ij,jbk->ibk", self.qv, rot)
-        psi = psi * self.diag_phases(0.5 * h, phi2 - phi1)[:, :, None]
+        # [psi; Phi psi / g]; Phi is real, so it acts on the interleaved
+        # real and imaginary parts
+        both = np.empty((2 * d,) + psi.shape[1:], dtype=complex)
+        np.multiply(psi, self.diag_phases(0.5 * h, phi1 - phi0)[:, :, None],
+                    out=both[:d])
+        for i in range(d):
+            both[d + i] = (self.phi @ both[i].view(float)).view(complex)
+        psi = (self.kick @ both.reshape(2 * d, -1)).reshape(psi.shape)
+        psi *= self.diag_phases(0.5 * h, phi2 - phi1)[:, :, None]
         return psi
 
 
@@ -205,6 +181,14 @@ def shared_static_eigh(schedule):
         _static_memo = None
 
 
+def _static_hamiltonian(tm):
+    """Dense H(0) = H_s x 1 + 1 x H_R + lam Q x Phi (kicks add no term)."""
+    er, _, phi = tm.reservoir()
+    h = np.kron(tm.system.h_s, np.eye(len(er)))
+    h = h + np.kron(np.eye(tm.system.dim), np.diag(er))
+    return h + tm.lam * np.kron(tm.system.q, phi.toarray())
+
+
 def _static_eigh(tm):
     """Eigenpairs of H(0) = H_s + H_R + lam Q Phi (kicks add no term)."""
     key = (tm.lam,) + tuple(a.tobytes() for a in (
@@ -212,7 +196,7 @@ def _static_eigh(tm):
     memo = {} if _static_memo is None else _static_memo
     if key in memo:
         return memo.pop(key)
-    memo[key] = pair = np.linalg.eigh(build_total_generator(tm, 0.0))
+    memo[key] = pair = np.linalg.eigh(_static_hamiltonian(tm))
     return pair
 
 
@@ -288,7 +272,7 @@ def evolve(tm: TotalModel, rho_s0, t_final: float, sample_dt: float,
     _validate_state(rho_s0)
     if not sample_dt > 0 or t_final < 0:
         raise ArgumentError("need t_final >= 0 and sample_dt > 0")
-    n, d, nr = tm.n_modes, tm.system.dim, 2**tm.n_modes
+    d, nr = tm.system.dim, 2**tm.n_modes
     dim = d * nr
 
     times = np.round(np.arange(0.0, t_final + 0.5 * sample_dt, sample_dt), 12)
@@ -317,9 +301,7 @@ def evolve(tm: TotalModel, rho_s0, t_final: float, sample_dt: float,
         eps, w = _static_eigh(tm)
         shifts, offsets, frags = times, np.zeros_like(times), {}
 
-    bits = (np.arange(nr)[:, None] >> (n - 1 - np.arange(n))) & 1
-    occ = tm.modes.occupations
-    probs = np.prod(np.where(bits == 1, occ, 1.0 - occ), axis=1)
+    _, probs, _ = tm.reservoir()
     # C = W^dagger X with X = (rho_s0 x diag(p)) W, the system factor
     # contracted first; C is Hermitian, so C = conj(X)^T W
     x = np.einsum("ab,bBj->aBj", rho_s0, w.reshape(d, nr, dim))

@@ -5,6 +5,7 @@ regularized integrals) rather than calling into the package, so that a
 bug in the production code cannot hide in its own oracle.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -188,6 +189,44 @@ def commutator_superop(a):
     a = np.asarray(a, dtype=complex)
     eye = np.eye(a.shape[0])
     return np.kron(a, eye) - np.kron(eye, a.T)
+
+
+@functools.lru_cache(maxsize=None)
+def jordan_wigner_annihilators(n_modes):
+    """Annihilation operators on the 2^N occupation space by kron chains.
+
+    Basis per mode: index 0 empty, index 1 occupied; sign strings on the
+    preceding factors enforce the anticommutation relations. The list is
+    cached, so callers must not modify it.
+    """
+    a = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    z = np.diag([1.0, -1.0]).astype(complex)
+    eye = np.eye(2, dtype=complex)
+    return [functools.reduce(np.kron,
+                             [z] * j + [a] + [eye] * (n_modes - j - 1))
+            for j in range(n_modes)]
+
+
+def field_operator(modes):
+    """Phi = sum_j f_j (a_j + a_j^*) / sqrt 2 from the kron-chain operators."""
+    ops = jordan_wigner_annihilators(modes.n_modes)
+    return sum(f / math.sqrt(2.0) * (aj + aj.conj().T)
+               for f, aj in zip(modes.couplings, ops))
+
+
+def total_hamiltonian(tm, t):
+    """Dense H(t) = H_s x 1 + sum_j w_j 1 x a_j^* a_j + lam Q x Phi, plus
+    h_c(t) x 1 for a smooth schedule, from the kron-chain operators."""
+    ops = jordan_wigner_annihilators(tm.modes.n_modes)
+    nr = 2**tm.modes.n_modes
+    h_s = np.asarray(tm.system.h_s, dtype=complex)
+    if tm.schedule is not None and tm.schedule.kind == "smooth":
+        h_s = h_s + tm.schedule.h_c(t)
+    h_r = sum(w * aj.conj().T @ aj
+              for w, aj in zip(tm.modes.frequencies, ops))
+    return (np.kron(h_s, np.eye(nr))
+            + np.kron(np.eye(h_s.shape[0]), h_r)
+            + tm.lam * np.kron(tm.system.q, field_operator(tm.modes)))
 
 
 def thermal_reservoir_state(modes):

@@ -18,15 +18,15 @@ from decoshield.control import (ControlSchedule, SystemModel, check_dd,
 from decoshield.experiments import ExperimentConfig, run_experiment, sweep
 from decoshield.reservoir import (discretize_modes, make_form_factor,
                                   spectral_function)
-from decoshield.simulate import (TotalModel, build_total_generator, evolve,
-                                 jordan_wigner_annihilators, trace_distance)
+from decoshield.simulate import TotalModel, evolve, trace_distance
 from decoshield.weak_coupling import (assemble_generator, corrected_propagate,
                                       level_shift, xi_rate)
 
-from oracles import (bessel_j_series, commutator_superop, linear_r2,
+from oracles import (bessel_j_series, commutator_superop,
+                     jordan_wigner_annihilators, linear_r2,
                      ordered_propagator, partial_trace,
                      qka_bangbang_closed_form, regularized_weights,
-                     thermal_reservoir_state)
+                     thermal_reservoir_state, total_hamiltonian)
 
 MU_STAR = 7.554982305222015
 
@@ -203,7 +203,7 @@ def test_06_exact_simulator_ground_truth():
     traj1 = evolve(tm1, plus_state(), 0.6, 0.2, substeps_per_period=4096)
     rho_full = np.kron(plus_state(), thermal_reservoir_state(modes1))
     for i, t in enumerate(traj1.times[1:], start=1):
-        u = ordered_propagator(lambda s: build_total_generator(tm1, s),
+        u = ordered_propagator(lambda s: total_hamiltonian(tm1, s),
                                0.0, float(t), step=2e-4)
         ref = partial_trace(u @ rho_full @ u.conj().T, [2, 2], [0])
         assert trace_distance(traj1.reduced_states[i], ref) < 1e-8

@@ -120,6 +120,18 @@ class TestConfigValidation:
             ExperimentConfig.from_dict(small_doc(**{path: value}))
         assert err.value.field_path == field
 
+    @pytest.mark.parametrize("state", [
+        [[1, 0], [0, 1]],
+        [[0.5, 0.5], [0, 0.5]],
+        [[1.5, 0], [0, -0.5]],
+    ], ids=["trace-two", "non-hermitian", "indefinite"])
+    def test_invalid_initial_state_names_the_field(self, state):
+        # every verb reads the config, so none may start on a non-state
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict(small_doc(
+                **{"reservoir.n_modes": 3, "initial_state": state}))
+        assert err.value.field_path == "initial_state"
+
     def test_form_factor_params_reach_the_profile(self):
         cfg = ExperimentConfig.from_dict(
             small_doc(**{"reservoir.params": {"scale": 2}}))
@@ -254,6 +266,9 @@ class TestEmitReport:
         keys = {line.split(",")[0] for line in lines[1:]}
         assert "rates.xi" in keys
         assert "provenance.config_hash" in keys
+        # missing values and booleans as report.json writes them
+        assert "sweep,null" in lines
+        assert "dd.passed,true" in lines
 
     def test_markdown_sweep_row_without_rates(self, tmp_path):
         row = {"value": 0.02, "xi": None, "t_dec": None, "retention": 0.9,

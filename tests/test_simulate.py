@@ -7,15 +7,14 @@ from decoshield.control import (ControlSchedule, SystemModel,
 import decoshield.simulate as simulate
 from decoshield.errors import ArgumentError, NumericError, ResourceError
 from decoshield.reservoir import discretize_modes, make_form_factor
-from decoshield.simulate import (TotalModel, build_total_generator,
-                                 compare_with_effective, evolve,
-                                 jordan_wigner_annihilators, trace_distance)
+from decoshield.simulate import (TotalModel, compare_with_effective, evolve,
+                                 trace_distance)
 
-from oracles import ordered_propagator, partial_trace, thermal_reservoir_state
+from oracles import (field_operator, jordan_wigner_annihilators,
+                     ordered_propagator, partial_trace,
+                     thermal_reservoir_state, total_hamiltonian)
 
 MU_STAR = 7.554982305222015
-
-rng = np.random.default_rng(41)
 
 
 @pytest.fixture(scope="module")
@@ -74,22 +73,34 @@ class TestThermalState:
                 assert abs(np.trace(rho @ ops[i] @ ops[j])) < 1e-13
 
 
+class TestFieldOperator:
+    def test_matches_kron_chain(self, reservoir):
+        # the sparse Phi against sum_j f_j (a_j + a_j^*) / sqrt 2 built from
+        # the kron-chain operators, and Phi^2 = (||f||^2 / 2) 1
+        for n in range(1, 7):
+            modes = modeset(reservoir, n)
+            tm = TotalModel(SystemModel.qubit(), modes, 0.1, None)
+            phi = tm.reservoir()[2].toarray()
+            assert np.abs(phi - field_operator(modes)).max() < 1e-15
+            g2 = 0.5 * float(modes.couplings @ modes.couplings)
+            assert operator_norm(phi @ phi - g2 * np.eye(2**n)) < 1e-14
+
+
 class TestTotalGenerator:
-    def test_hermitian_and_periodic(self, reservoir):
-        ff = reservoir
-        sched = ControlSchedule.sinusoidal(0.3, MU_STAR)
-        tm = TotalModel(SystemModel.qubit(), modeset(ff, 3), 0.1, sched)
-        for t in rng.uniform(0, 2, size=10):
-            h = build_total_generator(tm, float(t))
+    def test_static_hamiltonian_hermitian_and_matches_oracle(self, reservoir):
+        qutrit = SystemModel(np.diag([1.0, 0.0, -1.0]),
+                             [[0.3, 1, 0], [1, -0.2, 1], [0, 1, 0.1]])
+        for model in (SystemModel.qubit(), qutrit):
+            tm = TotalModel(model, modeset(reservoir, 3), 0.1, None)
+            h = simulate._static_hamiltonian(tm)
             assert operator_norm(h - h.conj().T) < 1e-12
-            assert operator_norm(h - build_total_generator(tm, float(t) + 0.3)) \
-                < 1e-10
+            assert operator_norm(h - total_hamiltonian(tm, 0.0)) < 1e-12
 
     def test_decoupled_blocks_at_zero_coupling(self, reservoir):
         ff = reservoir
         modes = modeset(ff, 3)
         tm = TotalModel(SystemModel.qubit(), modes, 0.0, None)
-        h = build_total_generator(tm, 0.0)
+        h = simulate._static_hamiltonian(tm)
         ops = jordan_wigner_annihilators(3)
         for aj in ops:
             num = np.kron(np.eye(2), aj.conj().T @ aj)
@@ -130,7 +141,7 @@ class TestEvolve:
         for i, t in enumerate(traj.times):
             if t == 0.0:
                 continue
-            u = ordered_propagator(lambda s: build_total_generator(tm, s),
+            u = ordered_propagator(lambda s: total_hamiltonian(tm, s),
                                    0.0, float(t), step=2e-4)
             ref = partial_trace(u @ rho_full @ u.conj().T, [2, 2], [0])
             assert trace_distance(traj.reduced_states[i], ref) < 1e-8
@@ -147,7 +158,7 @@ class TestEvolve:
             sched = ControlSchedule.bangbang(0.5, [0.25, 0.75],
                                              [weight, -weight])
             tm = TotalModel(SystemModel.qubit(), modes, 0.2, sched)
-            h = build_total_generator(tm, 0.0)
+            h = total_hamiltonian(tm, 0.0)
             kick_up = np.kron(scipy.linalg.expm(-1j * weight
                                                 * np.diag([1.0, -1.0])),
                               np.eye(4))
@@ -207,11 +218,49 @@ class TestEvolve:
         rho_full = np.kron(plus_state(), thermal_reservoir_state(modes))
         u = np.eye(4, dtype=complex)
         for i in range(1, len(traj.times)):
-            u = ordered_propagator(lambda s: build_total_generator(tm, s),
+            u = ordered_propagator(lambda s: total_hamiltonian(tm, s),
                                    float(traj.times[i - 1]),
                                    float(traj.times[i]), step=2e-4) @ u
             ref = partial_trace(u @ rho_full @ u.conj().T, [2, 2], [0])
             assert trace_distance(traj.reduced_states[i], ref) < 1e-8
+
+    @pytest.mark.parametrize("model", ["qubit", "qutrit"])
+    def test_smooth_three_modes_against_ordered_propagator(self, reservoir,
+                                                           model):
+        # at N = 3 the Jordan-Wigner signs of Phi matter; the qutrit's Q has
+        # a diagonal part, so cos(theta Q) and sin(theta Q) are not diagonal
+        if model == "qubit":
+            system, h_dir = SystemModel.qubit(), None
+        else:
+            h_dir = np.diag([1.0, 0.0, -1.0])
+            system = SystemModel(h_dir, [[0.3, 1, 0], [1, -0.2, 1],
+                                         [0, 1, 0.1]])
+        d = system.dim
+        modes = modeset(reservoir, 3)
+        sched = ControlSchedule.sinusoidal(0.3, MU_STAR, h_dir=h_dir)
+        tm = TotalModel(system, modes, 0.3, sched)
+        rho_s0 = np.full((d, d), 1.0 / d, dtype=complex)
+        traj = evolve(tm, rho_s0, 0.6, 0.2, substeps_per_period=4096)
+        rho_full = np.kron(rho_s0, thermal_reservoir_state(modes))
+        u = np.eye(8 * d, dtype=complex)
+        for i in range(1, len(traj.times)):
+            u = ordered_propagator(lambda s: total_hamiltonian(tm, s),
+                                   float(traj.times[i - 1]),
+                                   float(traj.times[i]), step=2e-4) @ u
+            ref = partial_trace(u @ rho_full @ u.conj().T, [d, 8], [0])
+            assert trace_distance(traj.reduced_states[i], ref) < 1e-8
+
+    def test_uncoupled_bath_matches_effective(self):
+        # every f_j = 0 gives g = 0: the Strang kick is the identity, not NaN
+        ff = make_form_factor("gaussian-p", beta=1.0, scale=0.0)
+        sched = ControlSchedule.sinusoidal(0.1, MU_STAR)
+        tm = TotalModel(SystemModel.qubit(), modeset(ff, 3), 0.3, sched)
+        traj = evolve(tm, plus_state(), 1.0, 0.1, substeps_per_period=256)
+        for t, rho in zip(traj.times, traj.reduced_states):
+            assert np.all(np.isfinite(rho))
+            ref = effective_dynamics(SystemModel.qubit(), sched, plus_state(),
+                                     float(t))
+            assert trace_distance(rho, ref) < 1e-12
 
     def test_sample_snapped_to_period_end_counts_the_period(self, reservoir):
         # with T = 0.5 + 3.75e-10 the t = 1.0 sample lies within 1e-9 of
@@ -261,7 +310,7 @@ class TestEvolve:
         tm = TotalModel(SystemModel.qubit(), modes, 0.0, None)
         rho_r = thermal_reservoir_state(modes)
         rho_full = np.kron(plus_state(), rho_r)
-        h = build_total_generator(tm, 0.0)
+        h = total_hamiltonian(tm, 0.0)
         u = scipy.linalg.expm(-4.0j * h)
         out = partial_trace(u @ rho_full @ u.conj().T, [2, 4], [1])
         assert trace_distance(out, rho_r) < 1e-10
