@@ -1,4 +1,4 @@
-"""Retention versus drive period (about 9 s on one BLAS thread of a
+"""Retention versus drive period (about 5 s on one BLAS thread of a
 2-vCPU host).
 
 Shrinking the drive period pushes the coupling's Fourier weight to

@@ -18,6 +18,16 @@ every power U_T^n = W lambda^n W^dagger (Floquet form); the uncontrolled
 baseline is sampled the same way in the eigenbasis of the static
 Hamiltonian.
 
+Everything runs one conserved sector at a time. In the joint basis H(t)
+is diagonal but for lam Q x Phi, and Phi flips the fermion parity. So
+each connected component of the graph of Q (entries above
+1e-14 max(1, ||Q||)) on the system levels is closed, and a two-colourable
+one (no self-loop, no odd cycle) splits once more into the two sectors
+of fixed colour(i) xor parity(b): at most 2d sectors, never one per
+mode. The paper's qubit (Q = sigma_x) gives two halves; a Q with a
+diagonal part in the joint basis gives one sector. The period walk, the
+Schur form and the static eigh run per sector.
+
 The thermal average is exact: the initial density matrix, the system
 state times the Fermi-Dirac product weights of the reservoir occupation
 bitstrings, is held in the Floquet basis, and each reduced state is read
@@ -36,7 +46,8 @@ import scipy.linalg
 import scipy.sparse
 
 from .control import (ControlSchedule, SystemModel, _validate_state,
-                      commutation_defect, effective_dynamics)
+                      commutation_defect, effective_dynamics,
+                      operator_norm)
 from .errors import ArgumentError, NumericError, ResourceError
 from .reservoir import ModeSet
 
@@ -127,52 +138,155 @@ def _co_diagonalize(h_s, h_dir):
     return w, np.real(np.diag(hd)), v
 
 
-class _SplitStepper:
-    """Strang splitting: exact diagonal phases around the coupling factor
-    exp(-i h lam Q x Phi) = cos(theta Q) x 1 - i sin(theta Q) x Phi / g,
-    theta = h lam g, which Phi^2 = g^2 = ||f||^2 / 2 gives (1 at g = 0)."""
+# Phi maps the even bitstrings (class 0) to the odd ones (1) and back, and
+# every bitstring (class 2) to every bitstring
+_FLIP = np.array([1, 0, 2])
 
-    def __init__(self, tm: TotalModel, step: float, joint):
+
+@dataclass(frozen=True)
+class _Sector:
+    """One conserved sector: row k holds system level ``levels[k]`` times
+    the reservoir bitstrings of class ``parity[k]`` (0 even, 1 odd, 2 all);
+    ``index`` lists its states as level * 2^N + bitstring, ascending."""
+
+    levels: np.ndarray
+    parity: np.ndarray
+    index: np.ndarray
+
+
+class _Sectors:
+    """The conserved sectors of H(t) in the joint eigenbasis of H_s and H_dir.
+
+    There H(t) is diagonal but for lam Q x Phi, and Phi flips the fermion
+    parity. Q's entries with |Q_ij| <= 1e-14 max(1, ||Q||) count as zero
+    (and are set to 0). A connected component of the graph of Q on the
+    system levels is closed under H(t); a two-colourable one (no self-loop,
+    no odd cycle) splits into two sectors, each with colour(i) xor
+    parity(b) fixed, any other is one sector. So there are at most 2d
+    sectors; a reservoir without modes has one parity and splits nothing.
+    """
+
+    def __init__(self, tm: TotalModel):
+        d, n = tm.system.dim, tm.n_modes
+        nr = 2**n
+        h_dir = (np.zeros((d, d)) if tm.schedule is None
+                 else tm.schedule.h_dir)
+        self.es, self.edir, self.basis = _co_diagonalize(tm.system.h_s, h_dir)
+        self.er, self.probs, self.phi = tm.reservoir()
+        self.g = math.sqrt(0.5 * float(tm.modes.couplings @ tm.modes.couplings))
+        q = self.basis.conj().T @ tm.system.q @ self.basis
+        q[np.abs(q) <= 1e-14 * max(1.0, operator_norm(q))] = 0.0
+        self.q = q
+        parity = np.zeros(nr, dtype=int)
+        for j in range(n):
+            parity ^= (np.arange(nr) >> j) & 1
+        self.rows = (np.flatnonzero(parity == 0), np.flatnonzero(parity == 1),
+                     np.arange(nr))
+        self.sectors = []
+        colour = np.full(d, -1)
+        for root in range(d):
+            if colour[root] >= 0:
+                continue
+            colour[root] = 0
+            component, two_colour = [root], n > 0
+            for i in component:     # breadth first; the list grows
+                for j in np.flatnonzero(q[i]):
+                    if colour[j] < 0:
+                        colour[j] = 1 - colour[i]
+                        component.append(j)
+                    elif colour[j] == colour[i]:
+                        two_colour = False    # a self-loop or an odd cycle
+            levels = np.sort(component)
+            classes = ([colour[levels], 1 - colour[levels]] if two_colour
+                       else [np.full(len(levels), 2)])
+            for cls in classes:
+                index = np.concatenate([k * nr + self.rows[p]
+                                        for k, p in zip(levels, cls)])
+                self.sectors.append(_Sector(levels, cls, index))
+        # slots[a][c]: the sector holding level a's bitstrings of parity c
+        # and their positions in it
+        self.slots = [[None, None] for _ in range(d)]
+        for k, sector in enumerate(self.sectors):
+            width = len(sector.index) // len(sector.levels)
+            for j, (a, p) in enumerate(zip(sector.levels, sector.parity)):
+                for c in (0, 1):
+                    if p == 2:
+                        self.slots[a][c] = (k, j * width + self.rows[c])
+                    elif p == c:
+                        self.slots[a][c] = (k, j * width + np.arange(width))
+
+    def overlaps(self, a, b):
+        """The sector pairs (k, l) where Y_a^T conj(Y_b) can be nonzero for
+        a block-diagonal Y, with the positions of level a's rows in sector
+        k and of level b's rows in sector l, bitstring by bitstring."""
+        pairs = {}
+        for (k, rows_a), (l, rows_b) in zip(self.slots[a], self.slots[b]):
+            left, right = pairs.setdefault((k, l), ([], []))
+            left.append(rows_a)
+            right.append(rows_b)
+        return [(k, l, np.concatenate(left), np.concatenate(right))
+                for (k, l), (left, right) in pairs.items()]
+
+    def field(self, p):
+        """Phi / g (Phi at g = 0) from the bitstrings of class p to flip(p)."""
+        phi = self.phi[self.rows[_FLIP[p]]][:, self.rows[p]]
+        return phi / self.g if self.g > 0 else phi
+
+
+class _SplitStepper:
+    """Strang splitting on one sector: exact diagonal phases around the
+    coupling factor exp(-i h lam Q x Phi) = cos(theta Q) x 1 -
+    i sin(theta Q) x Phi / g, theta = h lam g, which Phi^2 = g^2 =
+    ||f||^2 / 2 gives (1 at g = 0). cos(theta Q) keeps a row's parity and
+    sin(theta Q) flips it; the entries that would leave the sector, 0 up
+    to rounding, are set to 0."""
+
+    def __init__(self, tm: TotalModel, step: float, frame: _Sectors,
+                 sector: _Sector):
         self.schedule, self.step = tm.schedule, step
-        self.es, self.edir, v = joint
-        self.er, _, phi = tm.reservoir()
-        g = math.sqrt(0.5 * float(tm.modes.couplings @ tm.modes.couplings))
-        self.phi = phi / g if g > 0 else phi
-        qw, qv = np.linalg.eigh(v.conj().T @ tm.system.q @ v)
-        theta = step * tm.lam * g * qw
+        levels, parity = sector.levels, sector.parity
+        self.e = (frame.es[levels][:, None]
+                  + np.stack([frame.er[frame.rows[p]] for p in parity]))
+        self.edir = frame.edir[levels][:, None]
+        self.phi = [frame.field(p) for p in parity]
+        qw, qv = np.linalg.eigh(frame.q[np.ix_(levels, levels)])
+        theta = step * tm.lam * frame.g * qw
+        keep = parity[:, None] == parity[None, :]
+        flip = parity[:, None] == _FLIP[parity][None, :]
         # [cos(theta Q), -i sin(theta Q)], applied to [psi; Phi psi / g]
-        self.kick = np.hstack([(qv * np.cos(theta)) @ qv.conj().T,
-                               (qv * (-1j * np.sin(theta))) @ qv.conj().T])
+        self.kick = np.hstack([
+            np.where(keep, (qv * np.cos(theta)) @ qv.conj().T, 0.0),
+            np.where(flip, (qv * (-1j * np.sin(theta))) @ qv.conj().T, 0.0)])
 
     def diag_phases(self, dt, dphi):
-        return np.exp((-1j) * (dt * (self.es[:, None] + self.er[None, :])
-                               + dphi * self.edir[:, None]))
+        return np.exp((-1j) * (dt * self.e + dphi * self.edir))
 
     def apply_step(self, psi, t):
-        """One Strang step on psi shaped (d, 2^N, K), in the joint eigenbasis."""
-        sched, h, d = self.schedule, self.step, len(psi)
+        """One Strang step on psi shaped (rows, bitstrings per row, K)."""
+        sched, h, m = self.schedule, self.step, len(psi)
         phi0 = float(sched.phase(t))
         phi1 = float(sched.phase(t + 0.5 * h))
         phi2 = float(sched.phase(t + h))
         # [psi; Phi psi / g]; Phi is real, so it acts on the interleaved
         # real and imaginary parts
-        both = np.empty((2 * d,) + psi.shape[1:], dtype=complex)
+        both = np.empty((2 * m,) + psi.shape[1:], dtype=complex)
         np.multiply(psi, self.diag_phases(0.5 * h, phi1 - phi0)[:, :, None],
-                    out=both[:d])
-        for i in range(d):
-            both[d + i] = (self.phi @ both[i].view(float)).view(complex)
-        psi = (self.kick @ both.reshape(2 * d, -1)).reshape(psi.shape)
+                    out=both[:m])
+        for i in range(m):
+            both[m + i] = (self.phi[i] @ both[i].view(float)).view(complex)
+        psi = (self.kick @ both.reshape(2 * m, -1)).reshape(psi.shape)
         psi *= self.diag_phases(0.5 * h, phi2 - phi1)[:, :, None]
         return psi
 
 
-_static_memo = None   # H(0) inputs -> eigh(H(0)) inside shared_static_eigh
+_static_memo = None   # H(0) inputs -> per-sector eigh inside shared_static_eigh
 
 
 @contextlib.contextmanager
 def shared_static_eigh(schedule):
     """Hand an undriven run's eigh of H(0) to a later run of ``schedule``
-    on the same H(0) inside the block; only a kick train uses it."""
+    on the same H(0) and joint basis inside the block; only a kick train
+    uses it."""
     global _static_memo
     _static_memo = {} if getattr(schedule, "kind", None) == "bangbang" else None
     try:
@@ -181,76 +295,80 @@ def shared_static_eigh(schedule):
         _static_memo = None
 
 
-def _static_hamiltonian(tm):
-    """Dense H(0) = H_s x 1 + 1 x H_R + lam Q x Phi (kicks add no term)."""
-    er, _, phi = tm.reservoir()
-    h = np.kron(tm.system.h_s, np.eye(len(er)))
-    h = h + np.kron(np.eye(tm.system.dim), np.diag(er))
-    return h + tm.lam * np.kron(tm.system.q, phi.toarray())
+def _static_hamiltonian(tm, frame, sector):
+    """H(0) = H_s + H_R + lam Q Phi on one sector, in the joint basis
+    (kicks add no term)."""
+    phi = frame.phi.toarray()
+    rows = [frame.rows[p] for p in sector.parity]
+    h = np.block([[tm.lam * frame.q[a, b] * phi[np.ix_(ra, rb)]
+                   for b, rb in zip(sector.levels, rows)]
+                  for a, ra in zip(sector.levels, rows)])
+    h[np.diag_indices_from(h)] += np.concatenate(
+        [frame.es[a] + frame.er[ra] for a, ra in zip(sector.levels, rows)])
+    return h
 
 
-def _static_eigh(tm):
-    """Eigenpairs of H(0) = H_s + H_R + lam Q Phi (kicks add no term)."""
+def _static_eigh(tm, frame):
+    """Per sector, the eigenpairs of H(0) in the joint basis."""
     key = (tm.lam,) + tuple(a.tobytes() for a in (
-        tm.system.h_s, tm.system.q, tm.modes.frequencies, tm.modes.couplings))
+        tm.system.h_s, tm.system.q, frame.basis, tm.modes.frequencies,
+        tm.modes.couplings))
     memo = {} if _static_memo is None else _static_memo
     if key in memo:
         return memo.pop(key)
-    memo[key] = pair = np.linalg.eigh(_static_hamiltonian(tm))
-    return pair
+    memo[key] = pairs = [np.linalg.eigh(_static_hamiltonian(tm, frame, s))
+                         for s in frame.sectors]
+    return pairs
 
 
-def _period_walk(tm, offsets, substeps):
-    """U(r, 0) for each offset r in (0, T), and the monodromy U(T, 0).
+def _period_walk(tm, frame, offsets, substeps):
+    """Per sector, U(r, 0) for each offset r in (0, T), and the monodromy
+    U(T, 0), in the joint eigenbasis of H_s and H_dir.
 
-    One walk in the joint eigenbasis of H_s and H_dir over the kick times,
-    the offsets and T: between events a smooth drive takes Strang steps
-    (segment-wise, so each offset is a step boundary), a kick schedule the
-    exact static propagator. A kick of weight c multiplies by the diagonal
-    phase exp(-i c e_dir), so on both kinds the state receives
-    V_c(t)* = exp(-i phi(t) H_dir); an offset within 1e-9 T of a kick time
-    sees the kick, as ``ControlSchedule.phase`` counts it.
+    One walk per sector over the kick times, the offsets and T: between
+    events a smooth drive takes Strang steps (segment-wise, so each offset
+    is a step boundary), a kick schedule the exact static propagator. A
+    kick of weight c multiplies by the diagonal phase exp(-i c e_dir), so
+    on both kinds the state receives V_c(t)* = exp(-i phi(t) H_dir); an
+    offset within 1e-9 T of a kick time sees the kick, as
+    ``ControlSchedule.phase`` counts it. Returns {r: [block per sector]}
+    and [monodromy block per sector].
     """
     sched, T = tm.schedule, tm.schedule.period
-    d, nr = tm.system.dim, 2**tm.n_modes
-    dim = d * nr
-    joint = _co_diagonalize(tm.system.h_s, sched.h_dir)
-    _, edir, basis = joint
     kicks = {}
     if sched.kind == "bangbang":
         kicks = dict(zip(sched.kick_phases * T, sched.kick_weights))
-        e, v = _static_eigh(tm)
-        # static eigenvectors in the joint basis
-        v = np.einsum("ji,jbk->ibk", basis.conj(),
-                      v.reshape(d, nr, dim)).reshape(dim, dim)
+        static = _static_eigh(tm, frame)
     marks = {T: [T]}   # event time -> offsets sampled there; T: monodromy
     for r in set(float(r) for r in offsets if 0.0 < r < T):
         at = next((tk for tk in kicks if abs(r - tk) <= 1e-9 * T), r)
         marks.setdefault(at, []).append(r)
-    u = np.eye(dim, dtype=complex).reshape(d, nr, dim)
-    props, steppers, t = {}, {}, 0.0
-    for t_next in sorted(set(marks) | set(kicks)):
-        seg = t_next - t
-        if sched.kind == "bangbang":
-            free = v.conj().T @ u.reshape(dim, dim)
-            free *= np.exp(-1j * seg * e)[:, None]
-            u = (v @ free).reshape(d, nr, dim)
-            u *= np.exp(-1j * kicks.get(t_next, 0.0) * edir)[:, None, None]
-        else:
-            n = max(1, int(round(substeps * seg / T)))
-            h = seg / n
-            key = round(h, 15)
-            if key not in steppers:
-                steppers[key] = _SplitStepper(tm, h, joint)
-            for i in range(n):
-                u = steppers[key].apply_step(u, t + i * h)
-        for r in marks.get(t_next, ()):
-            props[r] = u.reshape(dim, dim)
-        t = t_next
-    # back to the computational basis: (basis x 1) m (basis x 1)^dagger
-    props = {r: np.einsum("ia,abjc,kj->ibkc", basis, m.reshape(d, nr, d, nr),
-                          basis.conj()).reshape(dim, dim)
-             for r, m in props.items()}
+    events = sorted(set(marks) | set(kicks))
+    props = {r: [] for rs in marks.values() for r in rs}
+    for s, sector in enumerate(frame.sectors):
+        m, n = len(sector.levels), len(sector.index)
+        u = np.eye(n, dtype=complex).reshape(m, n // m, n)
+        edir = frame.edir[sector.levels][:, None, None]
+        steppers, t = {}, 0.0
+        for t_next in events:
+            seg = t_next - t
+            if sched.kind == "bangbang":
+                e, v = static[s]
+                free = v.conj().T @ u.reshape(n, n)
+                free *= np.exp(-1j * seg * e)[:, None]
+                u = (v @ free).reshape(m, n // m, n)
+                u *= np.exp(-1j * kicks.get(t_next, 0.0) * edir)
+            else:
+                k = max(1, int(round(substeps * seg / T)))
+                h = seg / k
+                key = round(h, 15)
+                if key not in steppers:
+                    steppers[key] = _SplitStepper(tm, h, frame, sector)
+                for i in range(k):
+                    u = steppers[key].apply_step(u, t + i * h)
+            for r in marks.get(t_next, ()):
+                props[r].append(u.reshape(n, n))
+            t = t_next
     return props, props.pop(T)
 
 
@@ -258,15 +376,21 @@ def evolve(tm: TotalModel, rho_s0, t_final: float, sample_dt: float,
            substeps_per_period: int = 1024) -> Trajectory:
     """Propagate the joint state and sample the reduced density matrix.
 
-    The initial total state rho_s0 x diag(p), p_b the Fermi-Dirac product
-    probability of occupation bitstring b, is held as C = W^dagger rho W in
-    the Floquet basis W: driven runs take W and eps = i log(lambda) / T
-    from the Schur form of the monodromy and s = nT, undriven runs the
-    eigenbasis of the static Hamiltonian, s = t. A sample t = nT + r is
+    Everything runs in the joint eigenbasis of H_s and H_dir, where H(t)
+    keeps each conserved sector (``_Sectors``) closed, so every propagator
+    and the Floquet basis W are block-diagonal by sector; rho_s0 is rotated
+    in and the reduced states out with one d x d product each. The
+    initial total state rho_s0 x diag(p), p_b the Fermi-Dirac product
+    probability of occupation bitstring b, is held as C = W^dagger rho W
+    in the Floquet basis: driven runs take W and eps = i log(lambda) / T
+    from the Schur forms of the sector monodromies and s = nT, undriven
+    runs the eigenbasis of the static Hamiltonian, s = t. C couples the
+    sectors wherever rho_s0 does. A sample t = nT + r is
     Tr_R[Y D C D^* Y^*] with Y = F_r W, F_r the cached intra-period
     propagator, and D = exp(-i eps s). Per offset r and system pair
-    (a, b) that is one block (Y_a^T conj(Y_b)) o C, contracted with the
-    phases of all of r's samples in one product.
+    (a, b) that is the blocks (Y_a^T conj(Y_b)) o C of the sector pairs
+    that hold levels a and b on common bitstrings, each contracted with
+    the phases of all of r's samples in one product.
     """
     rho_s0 = np.asarray(rho_s0, dtype=complex)
     _validate_state(rho_s0)
@@ -278,6 +402,7 @@ def evolve(tm: TotalModel, rho_s0, t_final: float, sample_dt: float,
     times = np.round(np.arange(0.0, t_final + 0.5 * sample_dt, sample_dt), 12)
     driven = tm.schedule is not None and not (
         tm.schedule.kind == "smooth" and tm.schedule.mu == 0.0)
+    frame = _Sectors(tm)
 
     if driven:
         T = tm.schedule.period
@@ -286,27 +411,42 @@ def evolve(tm: TotalModel, rho_s0, t_final: float, sample_dt: float,
         wrapped = np.abs(offsets - T) < 1e-9
         periods[wrapped] += 1
         offsets[wrapped] = 0.0
-        frags, u_T = _period_walk(tm, offsets, substeps_per_period)
-        schur, w = scipy.linalg.schur(u_T, output="complex")
-        del u_T
-        off_diagonal = float(np.max(np.abs(np.triu(schur, 1))))
+        frags, monodromies = _period_walk(tm, frame, offsets,
+                                          substeps_per_period)
+        eps_k, blocks, off_diagonal = [], [], 0.0
+        for u_t in monodromies:
+            schur, z = scipy.linalg.schur(u_t, output="complex")
+            off_diagonal = max(off_diagonal,
+                               float(np.max(np.abs(np.triu(schur, 1)))))
+            # complex log: |lambda|^n is kept, so a non-unitary U_T shows
+            eps_k.append(1j * np.log(np.diag(schur)) / T)
+            blocks.append(z)
+        del monodromies, schur
         if off_diagonal > 1e-10:
             raise NumericError("monodromy is not normal",
                                diagnostics={"off_diagonal": off_diagonal})
-        # complex log: |lambda|^n is kept, so a non-unitary U_T shows below
-        eps = 1j * np.log(np.diag(schur)) / T
-        del schur
         shifts = periods * T
     else:
-        eps, w = _static_eigh(tm)
+        eps_k, blocks = zip(*_static_eigh(tm, frame))
         shifts, offsets, frags = times, np.zeros_like(times), {}
+    index = [sector.index for sector in frame.sectors]
+    w = np.zeros((dim, dim), dtype=complex)
+    eps = np.empty(dim, dtype=np.result_type(*eps_k))
+    for rows, z, e in zip(index, blocks, eps_k):
+        w[np.ix_(rows, rows)] = z
+        eps[rows] = e
 
-    _, probs, _ = tm.reservoir()
-    # C = W^dagger X with X = (rho_s0 x diag(p)) W, the system factor
-    # contracted first; C is Hermitian, so C = conj(X)^T W
-    x = np.einsum("ab,bBj->aBj", rho_s0, w.reshape(d, nr, dim))
-    x *= probs[:, None]
-    c = np.conj(x, out=x).reshape(dim, dim).T @ w
+    # C = W^dagger X with X = (rho x diag(p)) W, rho = rho_s0 in the joint
+    # basis, the system factor contracted first; C is Hermitian, so
+    # C = conj(X)^T W, taken sector by sector of W
+    rho = frame.basis.conj().T @ rho_s0 @ frame.basis
+    x = np.einsum("ab,bBj->aBj", rho, w.reshape(d, nr, dim))
+    x *= frame.probs[:, None]
+    x = np.conj(x, out=x).reshape(dim, dim)
+    del w
+    c = np.empty((dim, dim), dtype=complex)
+    for rows, z in zip(index, blocks):
+        c[:, rows] = x[rows].T @ z
     del x
 
     # W is unitary: trace and purity of the final state from C and phases
@@ -319,21 +459,27 @@ def evolve(tm: TotalModel, rho_s0, t_final: float, sample_dt: float,
     purity_defect = abs(float(gain @ c2 @ gain - c2.sum()))
     del c2
 
+    overlaps = {(a, b): frame.overlaps(a, b)
+                for a in range(d) for b in range(a, d)}
     states = np.empty((len(times), d, d), dtype=complex)
     for r in np.unique(offsets):
         idx = np.flatnonzero(offsets == r)
-        y = (frags.pop(r) @ w if r > 0.0 else w).reshape(d, nr, dim)
+        y = ([f @ z for f, z in zip(frags.pop(r), blocks)] if r > 0.0
+             else blocks)
         phases = np.exp(-1j * np.outer(eps, shifts[idx]))
         back = phases.conj()
-        for a in range(d):
-            for b in range(a, d):
-                block = y[a].T @ y[b].conj()
-                block *= c
-                rho_ab = np.einsum("is,is->s", phases, block @ back)
+        for (a, b), pieces in overlaps.items():
+            rho_ab = 0.0
+            for k, l, rows_a, rows_b in pieces:
+                block = y[k][rows_a].T @ y[l][rows_b].conj()
+                block *= c[np.ix_(index[k], index[l])]
+                rho_ab = rho_ab + np.einsum("is,is->s", phases[index[k]],
+                                            block @ back[index[l]])
                 del block
-                states[idx, b, a] = rho_ab.conj()
-                states[idx, a, b] = rho_ab
+            states[idx, b, a] = np.conj(rho_ab)
+            states[idx, a, b] = rho_ab
         del y
+    states = frame.basis @ states @ frame.basis.conj().T
 
     return Trajectory(times=times, reduced_states=list(states),
                       initial_state=rho_s0, trace_defect=trace_defect,

@@ -151,7 +151,8 @@ class TestRunExperiment:
         cfg = ExperimentConfig.from_dict(small_doc(schedule={
             "kind": "bangbang", "period": 0.25, "phases": [0.25, 0.75],
             "weights": [math.pi / 2, -math.pi / 2]}))
-        dim = cfg.model.dim * 2**cfg.n_modes
+        d = cfg.model.dim
+        dim = d * 2**cfg.n_modes
         eigh = np.linalg.eigh
         sizes = []
 
@@ -162,7 +163,12 @@ class TestRunExperiment:
         monkeypatch.setattr(np.linalg, "eigh", counting)
         results = _simulate_pair(cfg)
         assert set(results) == {"on", "off"}
-        assert sizes.count(dim) == 1
+        # each of the two parity sectors is diagonalized once; the whole
+        # space never is (eighs of size <= d are system-level)
+        blocks = [n for n in sizes if n > d]
+        assert blocks == [dim // 2, dim // 2]
+        assert sum(blocks) == dim
+        assert dim not in sizes
 
     def test_pipeline_outputs(self, tmp_path):
         cfg = ExperimentConfig.from_dict(small_doc())

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,6 +8,7 @@ from decoshield.control import (ControlSchedule, SystemModel,
                                 effective_dynamics, operator_norm)
 import decoshield.simulate as simulate
 from decoshield.errors import ArgumentError, NumericError, ResourceError
+from decoshield.experiments import ExperimentConfig
 from decoshield.reservoir import discretize_modes, make_form_factor
 from decoshield.simulate import (TotalModel, compare_with_effective, evolve,
                                  trace_distance)
@@ -15,6 +18,7 @@ from oracles import (field_operator, jordan_wigner_annihilators,
                      thermal_reservoir_state, total_hamiltonian)
 
 MU_STAR = 7.554982305222015
+SPIN1_SX = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / np.sqrt(2.0)
 
 
 @pytest.fixture(scope="module")
@@ -86,31 +90,126 @@ class TestFieldOperator:
             assert operator_norm(phi @ phi - g2 * np.eye(2**n)) < 1e-14
 
 
+def joint_hamiltonian(tm, frame, t):
+    """The oracle H(t) in the production joint basis of H_s and H_dir."""
+    b = np.kron(frame.basis, np.eye(2**tm.n_modes))
+    return b.conj().T @ total_hamiltonian(tm, t) @ b
+
+
 class TestTotalGenerator:
     def test_static_hamiltonian_hermitian_and_matches_oracle(self, reservoir):
         qutrit = SystemModel(np.diag([1.0, 0.0, -1.0]),
                              [[0.3, 1, 0], [1, -0.2, 1], [0, 1, 0.1]])
         for model in (SystemModel.qubit(), qutrit):
             tm = TotalModel(model, modeset(reservoir, 3), 0.1, None)
-            h = simulate._static_hamiltonian(tm)
-            assert operator_norm(h - h.conj().T) < 1e-12
-            assert operator_norm(h - total_hamiltonian(tm, 0.0)) < 1e-12
+            frame = simulate._Sectors(tm)
+            h = joint_hamiltonian(tm, frame, 0.0)
+            for sector in frame.sectors:
+                block = simulate._static_hamiltonian(tm, frame, sector)
+                assert operator_norm(block - block.conj().T) < 1e-12
+                rows = np.ix_(sector.index, sector.index)
+                assert operator_norm(block - h[rows]) < 1e-12
 
     def test_decoupled_blocks_at_zero_coupling(self, reservoir):
         ff = reservoir
         modes = modeset(ff, 3)
         tm = TotalModel(SystemModel.qubit(), modes, 0.0, None)
-        h = simulate._static_hamiltonian(tm)
+        frame = simulate._Sectors(tm)
+        h = joint_hamiltonian(tm, frame, 0.0)
         ops = jordan_wigner_annihilators(3)
-        for aj in ops:
-            num = np.kron(np.eye(2), aj.conj().T @ aj)
-            assert operator_norm(h @ num - num @ h) < 1e-12
+        for sector in frame.sectors:
+            block = simulate._static_hamiltonian(tm, frame, sector)
+            rows = np.ix_(sector.index, sector.index)
+            assert operator_norm(block - h[rows]) < 1e-12
+            for aj in ops:
+                num = np.kron(np.eye(2), aj.conj().T @ aj)[rows]
+                assert operator_norm(block @ num - num @ block) < 1e-12
 
     def test_dimension_guard(self, reservoir):
         ff = reservoir
         big = modeset(ff, 14)
         with pytest.raises(ResourceError):
             TotalModel(SystemModel.qubit(), big, 0.1, None)
+
+
+def sector_models():
+    """name -> (system, H_dir, sector sizes at N = 3)."""
+    sx, sz = [[0, 1], [1, 0]], [[1, 0], [0, -1]]
+    h3 = np.diag([1.0, 0.0, -1.0])
+    return {
+        "qubit": (SystemModel.qubit(), None, [8, 8]),
+        # H_s and H_dir off the computational basis: Q's diagonal in the
+        # joint basis is rounding only, which the 1e-14 gate drops
+        "rotated-qubit": (SystemModel(sx, sz), sx, [8, 8]),
+        "qubit-with-sz": (SystemModel(sz, [[0.2, 1], [1, -0.2]]), None, [16]),
+        "spin1": (SystemModel(h3, SPIN1_SX), h3, [12, 12]),
+        "isolated-level": (SystemModel(h3, [[0, 1, 0], [1, 0, 0], [0, 0, 0]]),
+                           h3, [8, 8, 4, 4]),
+        "qutrit-with-diagonal": (SystemModel(h3, [[0.3, 1, 0], [1, -0.2, 1],
+                                                  [0, 1, 0.1]]), h3, [24]),
+        # one two-coloured component and one level with a self-loop
+        "mixed-components": (SystemModel(h3, [[0, 1, 0], [1, 0, 0],
+                                              [0, 0, 0.5]]), h3, [8, 8, 8]),
+    }
+
+
+class TestSectors:
+    @pytest.mark.parametrize("name", sorted(sector_models()))
+    def test_oracle_hamiltonian_stays_in_its_sector(self, reservoir, name):
+        # H(t) from the kron-chain oracle, in the joint basis, has nothing
+        # between two sectors at any t, and the sectors partition the space
+        system, h_dir, sizes = sector_models()[name]
+        sched = ControlSchedule.sinusoidal(0.3, MU_STAR, h_dir=h_dir)
+        tm = TotalModel(system, modeset(reservoir, 3), 0.3, sched)
+        frame = simulate._Sectors(tm)
+        assert sorted((len(s.index) for s in frame.sectors),
+                      reverse=True) == sizes
+        assert len(frame.sectors) <= 2 * system.dim
+        label = np.empty(tm.dim_total, dtype=int)
+        for k, sector in enumerate(frame.sectors):
+            label[sector.index] = k
+        assert np.array_equal(np.sort(np.concatenate(
+            [s.index for s in frame.sectors])), np.arange(tm.dim_total))
+        across = label[:, None] != label[None, :]
+        for t in (0.0, 0.04, 0.11, 0.23):
+            h = joint_hamiltonian(tm, frame, t)
+            assert np.max(np.abs(h[across]), initial=0.0) <= 1e-14
+
+    @pytest.mark.parametrize("name", sorted(sector_models()))
+    def test_undriven_run_against_expm(self, reservoir, name):
+        # the static eigh and the sampling sector by sector, with a
+        # full-rank rho_s0 that couples every pair of levels
+        system, _, _ = sector_models()[name]
+        d = system.dim
+        modes = modeset(reservoir, 2)
+        tm = TotalModel(system, modes, 0.3, None)
+        a = np.eye(d) + 0.3 * np.exp(1j * np.add.outer(np.arange(d),
+                                                       2 * np.arange(d)))
+        rho_s0 = a @ a.conj().T / np.trace(a @ a.conj().T).real
+        traj = evolve(tm, rho_s0, 3.0, 0.5)
+        h = total_hamiltonian(tm, 0.0)
+        rho_full = np.kron(rho_s0, thermal_reservoir_state(modes))
+        for t, rho in zip(traj.times, traj.reduced_states):
+            u = scipy.linalg.expm(-1j * float(t) * h)
+            ref = partial_trace(u @ rho_full @ u.conj().T, [d, 4], [0])
+            assert trace_distance(rho, ref) < 1e-10
+
+    def test_bundled_scenario_splits_in_halves(self):
+        path = (Path(simulate.__file__).parent / "scenarios"
+                / "spin_fermion_sinusoidal.json")
+        cfg = ExperimentConfig.from_file(path)
+        modes = discretize_modes(cfg.form_factor, cfg.n_modes, cfg.p_max)
+        for sched in (None, cfg.schedule):
+            tm = TotalModel(cfg.model, modes, cfg.lam, sched)
+            sizes = [len(s.index) for s in simulate._Sectors(tm).sectors]
+            assert sizes == [256, 256]
+
+    def test_uncoupled_bath_is_not_split_by_mode(self):
+        # Phi = 0 conserves every occupation, but the split stays by parity
+        ff = make_form_factor("gaussian-p", beta=1.0, scale=0.0)
+        tm = TotalModel(SystemModel.qubit(), modeset(ff, 4), 0.3, None)
+        assert [len(s.index) for s in simulate._Sectors(tm).sectors] == [
+            16, 16]
 
 
 class TestEvolve:
@@ -138,11 +237,11 @@ class TestEvolve:
         tm = TotalModel(SystemModel.qubit(), modes, 0.3, sched)
         traj = evolve(tm, plus_state(), 1.0, 0.2, substeps_per_period=4096)
         rho_full = np.kron(plus_state(), thermal_reservoir_state(modes))
-        for i, t in enumerate(traj.times):
-            if t == 0.0:
-                continue
+        u = np.eye(4, dtype=complex)
+        for i in range(1, len(traj.times)):
             u = ordered_propagator(lambda s: total_hamiltonian(tm, s),
-                                   0.0, float(t), step=2e-4)
+                                   float(traj.times[i - 1]),
+                                   float(traj.times[i]), step=2e-4) @ u
             ref = partial_trace(u @ rho_full @ u.conj().T, [2, 2], [0])
             assert trace_distance(traj.reduced_states[i], ref) < 1e-8
 
@@ -224,17 +323,22 @@ class TestEvolve:
             ref = partial_trace(u @ rho_full @ u.conj().T, [2, 2], [0])
             assert trace_distance(traj.reduced_states[i], ref) < 1e-8
 
-    @pytest.mark.parametrize("model", ["qubit", "qutrit"])
+    @pytest.mark.parametrize("model", ["qubit", "qutrit", "spin1"])
     def test_smooth_three_modes_against_ordered_propagator(self, reservoir,
                                                            model):
         # at N = 3 the Jordan-Wigner signs of Phi matter; the qutrit's Q has
         # a diagonal part, so cos(theta Q) and sin(theta Q) are not diagonal
+        # and H(t) is one sector; spin-1's Q = S_x splits it into two, each
+        # with rows of both colours
         if model == "qubit":
             system, h_dir = SystemModel.qubit(), None
-        else:
+        elif model == "qutrit":
             h_dir = np.diag([1.0, 0.0, -1.0])
             system = SystemModel(h_dir, [[0.3, 1, 0], [1, -0.2, 1],
                                          [0, 1, 0.1]])
+        else:
+            h_dir = np.diag([1.0, 0.0, -1.0])
+            system = SystemModel(h_dir, SPIN1_SX)
         d = system.dim
         modes = modeset(reservoir, 3)
         sched = ControlSchedule.sinusoidal(0.3, MU_STAR, h_dir=h_dir)
@@ -286,20 +390,21 @@ class TestEvolve:
         build = simulate._period_walk
 
         def distorted(factor):
-            def patched(tm, offsets, substeps):
-                frags, u_t = build(tm, offsets, substeps)
-                return frags, u_t @ factor
+            def patched(*args):
+                frags, monodromies = build(*args)
+                return frags, [u @ factor(len(u)) for u in monodromies]
             return patched
 
         # a uniform gain of 1e-9 per period shows as |lambda|^{2n} - 1
         monkeypatch.setattr(simulate, "_period_walk",
-                            distorted((1 + 1e-9) * np.eye(8)))
+                            distorted(lambda n: (1 + 1e-9) * np.eye(n)))
         traj = evolve(tm, plus_state(), 50.0, 5.0)
         assert traj.trace_defect == pytest.approx((1 + 1e-9) ** 200 - 1,
                                                   rel=1e-4)
         # a non-normal monodromy has no exact diagonal Floquet form
         monkeypatch.setattr(simulate, "_period_walk",
-                            distorted(np.eye(8) + 1e-6 * np.eye(8, k=1)))
+                            distorted(lambda n: np.eye(n)
+                                      + 1e-6 * np.eye(n, k=1)))
         with pytest.raises(NumericError) as err:
             evolve(tm, plus_state(), 1.0, 0.5)
         assert err.value.diagnostics["off_diagonal"] > 1e-10
