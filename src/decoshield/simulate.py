@@ -239,15 +239,21 @@ class _SplitStepper:
     i sin(theta Q) x Phi / g, theta = h lam g, which Phi^2 = g^2 =
     ||f||^2 / 2 gives (1 at g = 0). cos(theta Q) keeps a row's parity and
     sin(theta Q) flips it; the entries that would leave the sector, 0 up
-    to rounding, are set to 0."""
+    to rounding, are set to 0.
+
+    A half step's diagonal phase splits into a per-level factor
+    exp(-i (h/2 e_s + dphi e_dir)), folded into each step's small coupling
+    matrix, and the constant bitstring factor exp(-i h/2 e_R), which two
+    consecutive steps apply once as exp(-i h e_R)."""
 
     def __init__(self, tm: TotalModel, step: float, frame: _Sectors,
                  sector: _Sector):
         self.schedule, self.step = tm.schedule, step
         levels, parity = sector.levels, sector.parity
-        self.e = (frame.es[levels][:, None]
-                  + np.stack([frame.er[frame.rows[p]] for p in parity]))
-        self.edir = frame.edir[levels][:, None]
+        self.es, self.edir = frame.es[levels], frame.edir[levels]
+        er = np.stack([frame.er[frame.rows[p]] for p in parity])[:, :, None]
+        self.half = np.exp(-0.5j * step * er)
+        self.full = np.exp(-1j * step * er)
         self.phi = [frame.field(p) for p in parity]
         qw, qv = np.linalg.eigh(frame.q[np.ix_(levels, levels)])
         theta = step * tm.lam * frame.g * qw
@@ -258,25 +264,35 @@ class _SplitStepper:
             np.where(keep, (qv * np.cos(theta)) @ qv.conj().T, 0.0),
             np.where(flip, (qv * (-1j * np.sin(theta))) @ qv.conj().T, 0.0)])
 
-    def diag_phases(self, dt, dphi):
-        return np.exp((-1j) * (dt * self.e + dphi * self.edir))
+    def walk(self, psi, t, k):
+        """k Strang steps from time t on psi shaped (rows, bitstrings per
+        row, K); returns a new array."""
+        h, m = self.step, len(psi)
+        ts = t + h * np.arange(k)
+        phi0, phi1, phi2 = self.schedule.phase(
+            ts + h * np.array([[0.0], [0.5], [1.0]]))
 
-    def apply_step(self, psi, t):
-        """One Strang step on psi shaped (rows, bitstrings per row, K)."""
-        sched, h, m = self.schedule, self.step, len(psi)
-        phi0 = float(sched.phase(t))
-        phi1 = float(sched.phase(t + 0.5 * h))
-        phi2 = float(sched.phase(t + h))
+        def levels(dphi):     # (k, m) per-level half-step phases
+            return np.exp((-1j) * (0.5 * h * self.es
+                                   + dphi[:, None] * self.edir))
+
+        # step i: diag(after_i) [cos, -i sin] diag(before_i, before_i)
+        kicks = (levels(phi2 - phi1)[:, :, None] * self.kick
+                 * np.tile(levels(phi1 - phi0), 2)[:, None, :])
         # [psi; Phi psi / g]; Phi is real, so it acts on the interleaved
         # real and imaginary parts
         both = np.empty((2 * m,) + psi.shape[1:], dtype=complex)
-        np.multiply(psi, self.diag_phases(0.5 * h, phi1 - phi0)[:, :, None],
-                    out=both[:m])
-        for i in range(m):
-            both[m + i] = (self.phi[i] @ both[i].view(float)).view(complex)
-        psi = (self.kick @ both.reshape(2 * m, -1)).reshape(psi.shape)
-        psi *= self.diag_phases(0.5 * h, phi2 - phi1)[:, :, None]
-        return psi
+        out = np.empty(psi.shape, dtype=complex)
+        np.multiply(psi, self.half, out=both[:m])
+        for i in range(k):
+            for j in range(m):
+                both[m + j] = (self.phi[j] @ both[j].view(float)).view(complex)
+            np.matmul(kicks[i], both.reshape(2 * m, -1),
+                      out=out.reshape(m, -1))
+            if i < k - 1:
+                np.multiply(out, self.full, out=both[:m])
+        out *= self.half
+        return out
 
 
 _static_memo = None   # H(0) inputs -> per-sector eigh inside shared_static_eigh
@@ -364,8 +380,7 @@ def _period_walk(tm, frame, offsets, substeps):
                 key = round(h, 15)
                 if key not in steppers:
                     steppers[key] = _SplitStepper(tm, h, frame, sector)
-                for i in range(k):
-                    u = steppers[key].apply_step(u, t + i * h)
+                u = steppers[key].walk(u, t, k)
             for r in marks.get(t_next, ()):
                 props[r].append(u.reshape(n, n))
             t = t_next

@@ -96,16 +96,21 @@ def level_shift(model: SystemModel, schedule: ControlSchedule, G,
             f"decoupling condition violated: ||Q_hat(0)|| = {zero_norm:.3e}",
             zero_mode_norm=zero_norm)
 
+    kept = {(k, w): k / T + w for k, w in modes
+            if k != 0 and abs(k / T + w) <= G.p_max}
+    # G on every kept comb point at once, and one batched PV call
+    x = np.array(list(kept.values()))
+    pv = np.zeros(len(x))
+    norms = [operator_norm(modes[key]) for key in kept]
+    shifted = np.array([nq * nq > 1e-16 for nq in norms], dtype=bool)
+    if shifted.any():
+        pv[shifted] = pv_integral(G, x[shifted])
     terms = {}
     s = np.zeros((d, d), dtype=complex)
-    for (k, w), qk in modes.items():
-        x = k / T + w
-        if k == 0 or abs(x) > G.p_max:
-            continue
-        nq = operator_norm(qk)
-        pv = pv_integral(G, x) if nq * nq > 1e-16 else 0.0
-        terms[(k, w)] = (qk, float(G(x)), pv)
-        s += 0.5 * lam * lam * pv * (qk.conj().T @ qk)
+    for key, g, shift in zip(kept, G(x).tolist(), pv.tolist()):
+        qk = modes[key]
+        terms[key] = (qk, g, shift)
+        s += 0.5 * lam * lam * shift * (qk.conj().T @ qk)
     a2 = (assemble_generator(terms, lam) if terms
           else np.zeros((d * d, d * d), dtype=complex))
     return WeakCouplingGenerator(

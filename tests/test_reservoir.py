@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
+import scipy.special
 
-from decoshield.errors import ArgumentError
+from decoshield.errors import ArgumentError, NumericError
 from decoshield.reservoir import (discretize_modes, glue_form_factor,
                                   make_form_factor, pv_integral,
                                   spectral_function)
@@ -73,13 +75,13 @@ class TestPrincipalValue:
     def test_even_function_gives_zero(self):
         sf = spectral_function(default_ff())
         x = 2.0
-        even = lambda p: math.exp(-((p - x) ** 2))
+        even = lambda p: np.exp(-((p - x) ** 2))
         even.p_max = 20.0
         assert pv_integral(even, x) == pytest.approx(0.0, abs=1e-9)
 
     def test_gaussian_matches_dawson_series(self):
         # int e^{-p^2}/(p-x) dp = -2 sqrt(pi) F(x), F the Dawson function
-        gauss = lambda p: math.exp(-p * p)
+        gauss = lambda p: np.exp(-p * p)
         gauss.p_max = 20.0
         for x in (1.0, 0.5, 2.0):
             expect = -2.0 * math.sqrt(math.pi) * dawson_series(x)
@@ -92,8 +94,8 @@ class TestPrincipalValue:
         assert abs(a - b) < 1e-8
 
     def test_linearity(self):
-        f1 = lambda p: math.exp(-p * p)
-        f2 = lambda p: math.exp(-((p - 1) ** 2))
+        f1 = lambda p: np.exp(-p * p)
+        f2 = lambda p: np.exp(-((p - 1) ** 2))
         combo = lambda p: 2.0 * f1(p) + 0.5 * f2(p)
         for fn in (f1, f2, combo):
             fn.p_max = 20.0
@@ -104,11 +106,73 @@ class TestPrincipalValue:
     def test_reflection_antisymmetry(self):
         # reflecting G about the singularity flips the sign
         x = 1.2
-        g = lambda p: math.exp(-0.5 * (p - 0.3) ** 2)
+        g = lambda p: np.exp(-0.5 * (p - 0.3) ** 2)
         g_ref = lambda p: g(2 * x - p)
         g.p_max = g_ref.p_max = 25.0
         assert pv_integral(g_ref, x) == pytest.approx(-pv_integral(g, x),
                                                       abs=1e-8)
+
+    @staticmethod
+    def grid_points(sf):
+        return np.array([0.0, sf.p_max, -sf.p_max, 0.3, -1.7, 2.45, -4.1])
+
+    @pytest.mark.parametrize("beta", [0.3, 1.0, 5.0])
+    @pytest.mark.parametrize("name", ["gaussian-p", "gaussian", "ohmic-exp"])
+    def test_matches_cauchy_weight_quadrature(self, name, beta):
+        # QUADPACK's Cauchy-weight rule (QAWC) over G's support, widened so
+        # that x = +-p_max is inside; G < 1e-16 outside the support
+        sf = spectral_function(make_form_factor(name, beta=beta))
+        xs = self.grid_points(sf)
+        got = pv_integral(sf, xs)
+        for x, value in zip(xs, got):
+            expect, _ = scipy.integrate.quad(
+                sf, -sf.p_max - 5.0, sf.p_max + 5.0, weight="cauchy",
+                wvar=x, epsabs=1e-12, epsrel=1e-12, limit=1000)
+            assert value == pytest.approx(expect, abs=1e-9)
+
+    @pytest.mark.parametrize("name", ["gaussian-p", "ohmic-exp"])
+    def test_batched_equals_per_point(self, name):
+        sf = spectral_function(make_form_factor(name, beta=1.0))
+        xs = self.grid_points(sf)
+        batched = pv_integral(sf, xs)
+        assert batched.shape == xs.shape
+        single = [pv_integral(sf, x) for x in xs]
+        assert all(isinstance(v, float) for v in single)
+        np.testing.assert_allclose(batched, single, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(pv_integral(sf, xs.reshape(7, 1))[:, 0],
+                                   single, rtol=0, atol=1e-13)
+
+    def test_kink_at_zero_matches_exponential_integral(self):
+        # G = e^{-|p|}: PV = e^x Ei(-x) - e^{-x} Ei(x); G(x - p) has its
+        # kink at p = x, the break between the first two intervals
+        g = lambda p: np.exp(-np.abs(p))
+        g.p_max = 40.0
+        xs = np.array([0.5, 2.0, -1.3, 7.0])
+        a = np.abs(xs)
+        expect = np.sign(xs) * (np.exp(a) * scipy.special.expi(-a)
+                                - np.exp(-a) * scipy.special.expi(a))
+        np.testing.assert_allclose(pv_integral(g, xs), expect, rtol=0,
+                                   atol=1e-9)
+
+    def test_non_decaying_tail_raises(self):
+        # (tanh(x + p) - tanh(x - p)) / p -> 2 / p: the tail is 2 ln 10
+        g = lambda p: np.tanh(p)
+        g.p_max = 5.0
+        with pytest.raises(NumericError, match="tail") as err:
+            pv_integral(g, 0.5)
+        assert err.value.diagnostics["tail"] == pytest.approx(2 * math.log(10),
+                                                              rel=1e-6)
+
+    def test_spike_narrower_than_a_panel_raises(self):
+        # a Lorentzian of half-width 1e-4 at p = 3: each panel doubling
+        # changes its sampled tails by far more than epsabs
+        g = lambda p: 1.0 / (1.0 + ((p - 3.0) / 1e-4) ** 2)
+        g.p_max = 20.0
+        with pytest.raises(NumericError, match="estimate") as err:
+            pv_integral(g, np.array([-2.0, 1.0]))
+        assert err.value.diagnostics["x"] == -2.0
+        assert err.value.diagnostics["estimate"] > 1e-9
+        assert "tail" in err.value.diagnostics
 
 
 class TestModeDiscretization:

@@ -33,7 +33,7 @@ def setup():
 
 
 def zero_spectral(p):
-    return 0.0
+    return np.zeros_like(p)
 
 
 zero_spectral.p_max = 5.0
@@ -90,6 +90,28 @@ class TestAssembly:
                                            - b @ qq) + 1j * pv * (b @ qq - qq @ b))
         np.testing.assert_allclose((one @ b.reshape(-1)).reshape(3, 3), expect,
                                    atol=1e-13)
+
+    @pytest.mark.parametrize("kind", ["sinusoidal", "bangbang"])
+    def test_spectral_weight_called_on_arrays_a_few_times(self, setup, kind):
+        # G once on every kept comb point, and the PVs of all of them in
+        # one batched call; a per-point path would call G thousands of times
+        _, _, _, sf, _ = setup
+        sched = (ControlSchedule.sinusoidal(1.2, MU_STAR) if kind == "sinusoidal"
+                 else ControlSchedule.bangbang(1.2, [0.3, 0.8],
+                                               [math.pi / 2, -math.pi / 2]))
+        shapes = []
+
+        def counting(p):
+            shapes.append(np.shape(p))
+            return sf(p)
+
+        counting.p_max = sf.p_max
+        gen = level_shift(SystemModel.qubit(), sched, counting, 0.05)
+        assert len(gen.terms) > 10
+        assert any(pv != 0.0 for _, _, pv in gen.terms.values())
+        assert len(shapes) <= 8
+        assert all(len(shape) >= 1 for shape in shapes)
+        assert (len(gen.terms),) in shapes
 
     def test_requires_decoupled_schedule(self, setup):
         model, T, _, sf, _ = setup
