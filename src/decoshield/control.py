@@ -11,22 +11,21 @@ Both are fully described by the accumulated control phase phi(t) with
 V_c(t) = exp(i phi(t) H_dir), which is what every routine below consumes.
 The state receives V_c(t)* = exp(-i phi(t) H_dir), so a kick of weight c
 multiplies it by exp(-i c H_dir) (``effective_dynamics``, ``simulate``).
-In the H_dir eigenbasis every entry of the rotated coupling
-V_c(t)* Q V_c(t) is a constant times the scalar phase
-exp(-i phi(t) (w_m - w_n)), so no matrix is exponentiated. The decoupling
-checker evaluates the averaged coupling over a period both as a running
-integral (residual) and through the equivalent pair (periodicity of
-Q(t), vanishing zero Fourier mode).
+In the joint eigenbasis of H_s and H_dir (``_CouplingFrame``) every entry
+of the rotated coupling V_c(t)* Q V_c(t) is a constant times the scalar
+phase exp(-i phi(t) dw), dw = w_m - w_n, so no matrix is exponentiated. The
+decoupling checker evaluates the averaged coupling over a period both as
+a running integral (residual) and through the equivalent pair
+(periodicity of Q(t), vanishing zero Fourier mode), all from one phase
+grid; the residual equals the zero-mode norm whenever phi(T) dw = 0.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.integrate
 import scipy.optimize
 
 from .errors import ArgumentError, TuneSearchError
@@ -57,6 +56,12 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 #: default absolute tolerance on operator norms for the decoupling verdict
 DD_TOL = 1e-7
+# H_s levels (and Bohr frequencies) within _LEVEL_TOL are one; joint-basis
+# entries of Q at or below _ZERO_GATE max(1, ||Q||) are zero
+_LEVEL_TOL, _ZERO_GATE = 1e-10, 1e-14
+# check_dd's window offsets jT/16 and smallest smooth phase grid (16 | 4096);
+# tune_amplitude's bound on the surrogate at the root and its scan points
+_DD_WINDOWS, _GRID, _TUNE_TOL, _TUNE_SCAN = 16, 4096, 1e-8, 33
 
 
 def operator_norm(a) -> float:
@@ -185,20 +190,15 @@ class ControlSchedule:
         if self.kind == "smooth":
             n = np.floor(x)
             frac = x - n
-            k1 = float(self.kappa_integral(1.0))
-            return self.mu * (n * k1 + np.asarray(self.kappa_integral(frac), float))
+            k0 = float(self.kappa_integral(0.0))    # any antiderivative K
+            k1 = float(self.kappa_integral(1.0)) - k0
+            return self.mu * (n * k1 + np.asarray(self.kappa_integral(frac), float) - k0)
         # bang-bang: count kicks at or before t (to 1e-9 of a period)
         out = np.zeros_like(x)
         for a, c in zip(self.kick_phases, self.kick_weights):
             # kicks at x = j + a for integers j >= 0
             out = out + c * np.maximum(0.0, np.floor(x - a + 1e-9) + 1)
         return out
-
-    def h_c(self, t):
-        """Control Hamiltonian at time t (smooth schedules only)."""
-        if self.kind != "smooth":
-            raise ArgumentError("bang-bang control has no pointwise Hamiltonian")
-        return (self.mu / self.period) * float(self.kappa(t / self.period)) * self.h_dir
 
     def max_control_norm(self, samples: int = 512) -> float:
         """max_t ||H_c(t)||; for kicks, the integrated weight per period / T."""
@@ -227,7 +227,7 @@ def _numeric_antiderivative(kappa):
     n = 1 << 14
     xs = np.linspace(0.0, 1.0, n + 1)
     vals = np.asarray(kappa(xs), dtype=float)
-    cum = scipy.integrate.cumulative_trapezoid(vals, xs, initial=0.0)
+    cum = np.concatenate(([0.0], np.cumsum(np.diff(xs) * (vals[1:] + vals[:-1]) / 2.0)))
 
     def kint(x):
         return np.interp(np.asarray(x, float), xs, cum)
@@ -240,22 +240,54 @@ def commutation_defect(model: SystemModel, schedule: ControlSchedule) -> float:
     return operator_norm(model.h_s @ schedule.h_dir - schedule.h_dir @ model.h_s)
 
 
-def _dir_basis(op, h_dir):
-    """H_dir eigenbasis v, ``op`` in that basis and the Bohr differences.
+class _CouplingFrame:
+    """Q in the joint eigenbasis ``basis`` (columns) of H_s and H_dir, with
+    their levels ``es`` (ascending) and ``edir``; entries |q_mn| <= 1e-14
+    max(1, ||Q||) are set to 0, the one zero gate of the package. Entry
+    (m, n) of the rotated coupling at control phase phi is
+    q_mn exp(-i phi dw_mn), dw_mn = edir_m - edir_n, one of ``ds``. Each of
+    the index ``runs`` is one H_s level: neighbours within 1e-10 join."""
 
-    With V_c(t) = exp(i phi(t) H_dir), the rotated operator is
-    V_c(t)* op V_c(t) = v (op_t * exp(-i phi(t) dw)) v*, where op_t is
-    ``op`` in the eigenbasis and dw[m, n] = w_m - w_n: every entry is a
-    constant times a scalar phase.
-    """
-    w, v = np.linalg.eigh(h_dir)
-    return v, v.conj().T @ np.asarray(op, complex) @ v, w[:, None] - w[None, :]
+    def __init__(self, model: SystemModel, h_dir):
+        e, v = np.linalg.eigh(model.h_s)
+        self.runs = np.split(np.arange(len(e)), np.flatnonzero(np.diff(e) > _LEVEL_TOL) + 1)
+        hd = v.conj().T @ h_dir @ v
+        for run in self.runs:   # re-diagonalize H_dir inside a degenerate level
+            if len(run) > 1:
+                v[:, run] = v[:, run] @ np.linalg.eigh(hd[np.ix_(run, run)])[1]
+        self.basis, self.es = v, e
+        self.edir = np.real(np.diag(v.conj().T @ h_dir @ v))
+        self.ds, at = np.unique(self.edir[:, None] - self.edir, return_inverse=True)
+        self._at = at.reshape(len(e), len(e))
+        self.q = v.conj().T @ model.q @ v
+        self.q[np.abs(self.q) <= _ZERO_GATE * max(1.0, operator_norm(self.q))] = 0.0
 
+    def scaled(self, coeffs) -> np.ndarray:
+        """q_mn times coeffs[..., i] with ds[i] = dw_mn."""
+        return self.q * coeffs[..., self._at]
 
-def _rotated(op, schedule: ControlSchedule, phi: float) -> np.ndarray:
-    """V_c* op V_c at accumulated control phase ``phi``."""
-    v, op_t, dw = _dir_basis(op, schedule.h_dir)
-    return v @ (op_t * np.exp(-1j * phi * dw)) @ v.conj().T
+    def rotated(self, phi: float) -> np.ndarray:
+        """V_c* Q V_c at accumulated control phase ``phi``, in the frame."""
+        return self.scaled(np.exp(-1j * phi * self.ds))
+
+    def back(self, ops) -> np.ndarray:
+        """Matrices (the last two axes) from the frame to the original basis."""
+        return np.einsum("ab,...bc,dc->...ad", self.basis, ops, self.basis.conj())
+
+    def bohr(self) -> dict:
+        """w -> mask of the entries of q in Q_w = sum_{e'-e=w} P_e Q P_e', e
+        the row level and e' the column level, a level valued at the lowest
+        of its run; a w within 1e-10 of one met before joins it."""
+        masks = {}
+        for left in self.runs:
+            for right in self.runs:
+                block = np.zeros(self.q.shape, dtype=bool)
+                block[np.ix_(left, right)] = self.q[np.ix_(left, right)] != 0
+                if block.any():
+                    w = float(self.es[right[0]]) - float(self.es[left[0]])
+                    w = next((u for u in masks if abs(u - w) <= _LEVEL_TOL), w)
+                    masks[w] = masks.get(w, False) | block
+        return masks
 
 
 def vc_at(schedule: ControlSchedule, t: float) -> np.ndarray:
@@ -270,11 +302,12 @@ def q_of_t(model: SystemModel, schedule: ControlSchedule, t: float) -> np.ndarra
     """Interaction-picture coupling V_c(t)* Q V_c(t)."""
     if t < 0:
         raise ArgumentError("t must be nonnegative")
-    return _rotated(model.q, schedule, float(schedule.phase(t)))
+    frame = _CouplingFrame(model, schedule.h_dir)
+    return frame.back(frame.rotated(float(schedule.phase(t))))
 
 
-def _modes(op, schedule: ControlSchedule, ks) -> np.ndarray:
-    """Fourier modes int_0^1 V_c(xT)* op V_c(xT) exp(-2 pi i k x) dx, k in ks.
+def _modes(frame: _CouplingFrame, schedule: ControlSchedule, ks) -> np.ndarray:
+    """Fourier modes int_0^1 Q(xT) exp(-2 pi i k x) dx in the frame, k in ks.
 
     Only the scalar phases exp(-i phi dw) are transformed: smooth
     schedules by one FFT of the phase grid (uniform trapezoid rule,
@@ -283,7 +316,6 @@ def _modes(op, schedule: ControlSchedule, ks) -> np.ndarray:
     smooth grid has at least 4096 points and more than 2 max|k|, so no
     requested mode aliases onto another.
     """
-    v, op_t, dw = _dir_basis(op, schedule.h_dir)
     ks = np.asarray(ks, dtype=int)
     if schedule.kind == "bangbang":
         w = 2j * np.pi * np.where(ks == 0, 1, ks)
@@ -292,39 +324,14 @@ def _modes(op, schedule: ControlSchedule, ks) -> np.ndarray:
             # int_{x0}^{x1} exp(-2 pi i k x) dx
             weights = np.where(ks == 0, x1 - x0,
                                (np.exp(-w * x0) - np.exp(-w * x1)) / w)
-            coeffs = coeffs + weights[:, None, None] * np.exp(-1j * phi * dw)
+            coeffs = coeffs + weights[:, None] * np.exp(-1j * phi * frame.ds)
     else:
-        samples = max(4096, 1 << int(2 * np.abs(ks).max()).bit_length())
+        samples = max(_GRID, 1 << int(2 * np.abs(ks).max()).bit_length())
         phis = schedule.phase(np.linspace(0.0, schedule.period, samples,
                                           endpoint=False))
-        ds, idx = np.unique(dw, return_inverse=True)
-        spectra = np.fft.fft(np.exp(-1j * phis[:, None] * ds), axis=0) / samples
-        coeffs = spectra[ks % samples][:, idx.reshape(dw.shape)]
-    return np.einsum("ab,kbc,dc->kad", v, op_t * coeffs, v.conj())
-
-
-def _bohr_parts(model: SystemModel) -> dict:
-    """Bohr components Q_w = sum_{e' - e = w} P_e Q P_e' of the coupling.
-
-    The projectors P_e come from ``eigh(H_s)`` with eigenvalues within
-    1e-10 grouped, and Bohr frequencies within 1e-10 are merged. Keys are
-    the frequencies w whose component does not vanish.
-    """
-    e, v = np.linalg.eigh(model.h_s)
-    cuts = np.flatnonzero(np.diff(e) > 1e-10) + 1
-    levels = [(float(es[0]), vs @ vs.conj().T)
-              for es, vs in zip(np.split(e, cuts), np.split(v, cuts, axis=1))]
-    floor = 1e-14 * max(1.0, operator_norm(model.q))
-    parts = {}
-    for e_left, p_left in levels:
-        for e_right, p_right in levels:
-            block = p_left @ model.q @ p_right
-            if operator_norm(block) <= floor:
-                continue
-            w = e_right - e_left
-            w = next((u for u in parts if abs(u - w) <= 1e-10), w)
-            parts[w] = parts.get(w, 0) + block
-    return parts
+        spectra = np.fft.fft(np.exp(-1j * phis[:, None] * frame.ds), axis=0) / samples
+        coeffs = spectra[ks % samples]
+    return frame.scaled(coeffs)
 
 
 def _bohr_modes(model: SystemModel, schedule: ControlSchedule, ks) -> dict:
@@ -333,43 +340,49 @@ def _bohr_modes(model: SystemModel, schedule: ControlSchedule, ks) -> dict:
     H_dir commutes with H_s, so the rotation keeps each Q_w in its own
     block; the mode (k, w) sits at the comb frequency k/T + w.
     """
+    frame = _CouplingFrame(model, schedule.h_dir)
     ks = np.asarray(ks, dtype=int)
+    modes = _modes(frame, schedule, ks)
     return {(k, w): mode
-            for w, part in _bohr_parts(model).items()
-            for k, mode in zip(ks.tolist(), _modes(part, schedule, ks))}
+            for w, mask in frame.bohr().items()
+            for k, mode in zip(ks.tolist(), frame.back(modes * mask))}
 
 
-def _window_integral(schedule: ControlSchedule, dw, t0: float) -> np.ndarray:
-    """int_{t0}^{t0+T} exp(-i phi(s) dw) ds, entrywise.
+def _windows(frame: _CouplingFrame, schedule: ControlSchedule) -> np.ndarray:
+    """int_{t0}^{t0+T} Q(s) ds / T in the frame at t0 = jT/16, j < 16.
 
-    Kick schedules: exact sum over the pieces between kicks. Smooth
-    schedules: adaptive quadrature of the real and imaginary part per
-    distinct dw > 0; the entry at -dw is its conjugate and dw = 0
-    integrates to T.
+    Kick schedules: exact sums over the pieces between kicks. Smooth ones:
+    with a = phi(T) dw, exp(-i phi(s) dw) = exp(-i a s/T) sum_k c_k
+    exp(2 pi i k s/T), c_k the FFT of the periodic rest on the phase grid,
+    so each window is a sum of c_k times a closed-form integral, and the
+    16 offsets fold into one 16-point inverse FFT; a = 0 gives c_0.
     """
-    T = schedule.period
+    T, n = schedule.period, _DD_WINDOWS
     if schedule.kind == "bangbang":
-        j0 = math.floor(t0 / T)
-        kicks = [(j + a) * T for j in range(j0 - 1, j0 + 3)
-                 for a in schedule.kick_phases]
-        xs = np.array(sorted([t0, t0 + T] + [tk for tk in kicks
-                                             if t0 < tk < t0 + T]))
-        phis = schedule.phase(0.5 * (xs[:-1] + xs[1:]))
-        return np.einsum("p,pmn->mn", np.diff(xs),
-                         np.exp(-1j * phis[:, None, None] * dw))
-    out = np.full(dw.shape, complex(T))
-    for delta in np.unique(dw[dw > 0]):
-        re, im = (scipy.integrate.quad(
-            lambda s: f(float(schedule.phase(s)) * delta), t0, t0 + T,
-            epsabs=1e-10, limit=200)[0] for f in (math.cos, math.sin))
-        out[dw == delta] = re - 1j * im
-        out[dw == -delta] = re + 1j * im
-    return out
+        kicks = np.r_[schedule.kick_phases, schedule.kick_phases + 1] * T
+        coeffs = []
+        for t0 in np.arange(n) * T / n:
+            xs = np.r_[t0, kicks[(t0 < kicks) & (kicks < t0 + T)], t0 + T]
+            phis = schedule.phase(0.5 * (xs[:-1] + xs[1:]))
+            coeffs.append(np.diff(xs) @ np.exp(-1j * np.outer(phis, frame.ds)) / T)
+        return frame.scaled(np.array(coeffs))
+    x = np.arange(_GRID) / _GRID
+    slip = float(schedule.phase(T)) * frame.ds
+    c = np.fft.fft(np.exp(-1j * (np.outer(schedule.phase(x * T), frame.ds)
+                                 - np.outer(x, slip))), axis=0) / _GRID
+    # z = a - 2 pi k: int_{t0}^{t0+T} exp(-i z s/T) ds / T
+    #   = exp(-i z t0/T) exp(-i z/2) sinc(z / 2 pi)
+    z = slip - 2 * np.pi * np.fft.fftfreq(_GRID, 1.0 / _GRID)[:, None]
+    folded = (c * np.exp(-0.5j * z) * np.sinc(z / (2 * np.pi))).reshape(
+        _GRID // n, n, -1).sum(axis=0)
+    return frame.scaled(np.exp(-1j * np.outer(np.arange(n) / n, slip))
+                       * np.fft.ifft(folded, axis=0) * n)
 
 
 @dataclass(frozen=True)
 class DDReport:
-    """Decoupling check: running-integral residual and the equivalent pair."""
+    """Decoupling check: running-integral residual and the equivalent pair,
+    from one phase grid; the residual is the zero-mode norm if phi(T) dw = 0."""
 
     residual: float              # window integral / T: compares with tolerance
     periodicity_defect: float
@@ -389,32 +402,29 @@ class DDReport:
 
 
 def check_dd(model: SystemModel, schedule: ControlSchedule,
-             tol: float = DD_TOL, base_points: int = 16) -> DDReport:
+             tol: float = DD_TOL) -> DDReport:
     """Verify the decoupling condition int_t^{t+T} Q(s) ds = 0.
 
-    The residual is the max over ``base_points`` window offsets t of
-    ||int_t^{t+T} Q(s) ds|| / T. In the H_dir eigenbasis each entry of
-    the window integral is a constant times a scalar phase integral
-    (adaptive quadrature per Bohr difference for smooth schedules, an
-    exact sum over the pieces between kicks otherwise). The equivalent
-    two-condition form (Q periodic, zero Fourier mode vanishing) is
-    evaluated independently.
+    The residual is the max over the window offsets t = jT/16 of
+    ||int_t^{t+T} Q(s) ds|| / T. In the joint eigenbasis each entry of the
+    window integral is a constant times a scalar phase integral, in closed
+    form from the phase grid's FFT for smooth schedules and an exact sum
+    over the pieces between kicks otherwise (``_windows``). The equivalent
+    two-condition form (Q periodic, zero Fourier mode vanishing) comes from
+    the same grid; the residual equals the zero-mode norm if phi(T) dw = 0.
     """
     if not tol > 0:
         raise ArgumentError("tol must be positive")
-    T = schedule.period
-    _, q_t, dw = _dir_basis(model.q, schedule.h_dir)
-    residual = max(
-        operator_norm(q_t * _window_integral(schedule, dw, float(t0))) / T
-        for t0 in np.linspace(0.0, T, base_points, endpoint=False))
-    defect = operator_norm(q_of_t(model, schedule, T) - model.q)
-    zero_mode = _modes(model.q, schedule, [0])[0]
+    frame = _CouplingFrame(model, schedule.h_dir)
+    residual = np.linalg.norm(_windows(frame, schedule), 2, axis=(1, 2)).max()
+    defect = operator_norm(frame.rotated(float(schedule.phase(schedule.period)))
+                           - frame.q)
+    zero_mode = _modes(frame, schedule, [0])[0]
     return DDReport(residual=float(residual), periodicity_defect=float(defect),
                     zero_mode_norm=operator_norm(zero_mode), tolerance=tol)
 
 
-def tune_amplitude(model: SystemModel, schedule_factory, bracket,
-                   tol: float = 1e-8, scan_points: int = 33) -> float:
+def tune_amplitude(model: SystemModel, schedule_factory, bracket) -> float:
     """Find the amplitude at which the zero Fourier mode of Q vanishes.
 
     ``schedule_factory`` maps an amplitude to a ControlSchedule. The
@@ -433,10 +443,12 @@ def tune_amplitude(model: SystemModel, schedule_factory, bracket,
         raise ArgumentError("coupling operator has no off-diagonal part to tune")
 
     def surrogate(mu):
-        zm = _modes(q, schedule_factory(mu), [0])[0]
+        sched = schedule_factory(mu)
+        frame = _CouplingFrame(model, sched.h_dir)
+        zm = frame.back(_modes(frame, sched, [0])[0])
         return float((zm[i, j] / q[i, j]).real)
 
-    mus = np.linspace(lo, hi, scan_points)
+    mus = np.linspace(lo, hi, _TUNE_SCAN)
     vals = [surrogate(m) for m in mus]
     scan = list(zip(mus.tolist(), vals))
     for (m0, v0), (m1, v1) in zip(scan[:-1], scan[1:]):
@@ -444,9 +456,9 @@ def tune_amplitude(model: SystemModel, schedule_factory, bracket,
             return m0
         if v0 * v1 < 0:
             mu_star = scipy.optimize.brentq(surrogate, m0, m1, xtol=1e-12, rtol=1e-15)
-            if abs(surrogate(mu_star)) >= tol:
+            if abs(surrogate(mu_star)) >= _TUNE_TOL:
                 raise TuneSearchError(
-                    f"root at {mu_star} does not reduce the surrogate below {tol}",
+                    f"root at {mu_star} does not reduce the surrogate below {_TUNE_TOL}",
                     scan=scan)
             return float(mu_star)
     raise TuneSearchError(
@@ -462,9 +474,6 @@ class FourierTable:
     bohr: dict             # (k, w) -> matrix, |k| <= cutoff, w a Bohr frequency
     tail_bound: float
     parseval_defect: float
-
-    def mode(self, k: int) -> np.ndarray:
-        return self.modes[k]
 
     def zero_mode_norm(self) -> float:
         return operator_norm(self.modes[0])
@@ -493,7 +502,8 @@ def fourier_modes(model: SystemModel, schedule: ControlSchedule,
     else:
         k_max = 2047    # the largest |k| a 4096-point phase grid resolves
     ks = np.arange(-k_max, k_max + 1)
-    every = dict(zip(ks.tolist(), _modes(model.q, schedule, ks)))
+    frame = _CouplingFrame(model, schedule.h_dir)
+    every = dict(zip(ks.tolist(), frame.back(_modes(frame, schedule, ks))))
 
     modes = {0: every[0]}
     cutoff = 0

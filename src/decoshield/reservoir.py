@@ -33,6 +33,8 @@ __all__ = [
 
 # full solid-angle weight of the isotropic angular integral
 SPHERE_WEIGHT = 4.0 * math.pi
+# spectral_function: G above _SUPPORT_TOL is in the support, scanned to _P_SCAN_MAX
+_SUPPORT_TOL, _P_SCAN_MAX = 1e-16, 200.0
 
 
 @dataclass(frozen=True)
@@ -102,12 +104,11 @@ class SpectralFunction:
         return float(out) if np.ndim(out) == 0 else out
 
 
-def spectral_function(ff: FormFactor, support_tol: float = 1e-16,
-                      p_scan_max: float = 200.0) -> SpectralFunction:
+def spectral_function(ff: FormFactor) -> SpectralFunction:
     """Build G from the glued form factor and locate its support cutoff."""
-    sf = SpectralFunction(ff=ff, p_max=p_scan_max)
-    ps = np.linspace(0.0, p_scan_max, 4001)
-    above = np.nonzero(sf(ps) > support_tol)[0]
+    sf = SpectralFunction(ff=ff, p_max=_P_SCAN_MAX)
+    ps = np.linspace(0.0, _P_SCAN_MAX, 4001)
+    above = np.nonzero(sf(ps) > _SUPPORT_TOL)[0]
     p_max = float(ps[above[-1]] + ps[1]) if above.size else 1.0
     return SpectralFunction(ff=ff, p_max=p_max)
 

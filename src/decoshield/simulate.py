@@ -20,8 +20,8 @@ Hamiltonian.
 
 Everything runs one conserved sector at a time. In the joint basis H(t)
 is diagonal but for lam Q x Phi, and Phi flips the fermion parity. So
-each connected component of the graph of Q (entries above
-1e-14 max(1, ||Q||)) on the system levels is closed, and a two-colourable
+each connected component of the graph of Q (entries past the zero gate of
+``control._CouplingFrame``) on the system levels is closed, and a two-colourable
 one (no self-loop, no odd cycle) splits once more into the two sectors
 of fixed colour(i) xor parity(b): at most 2d sectors, never one per
 mode. The paper's qubit (Q = sigma_x) gives two halves; a Q with a
@@ -45,9 +45,9 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .control import (ControlSchedule, SystemModel, _validate_state,
-                      commutation_defect, effective_dynamics,
-                      operator_norm)
+from .control import (ControlSchedule, SystemModel, _CouplingFrame,
+                      _validate_state, commutation_defect,
+                      effective_dynamics)
 from .errors import ArgumentError, NumericError, ResourceError
 from .reservoir import ModeSet
 
@@ -61,6 +61,7 @@ __all__ = [
 ]
 
 DIMENSION_GUARD = 2**14
+_COHERENCE = (0, 1)     # the levels whose coherence compare_with_effective keeps
 
 
 @dataclass(frozen=True)
@@ -121,23 +122,6 @@ class Trajectory:
         return np.array([abs(r[m, n]) for r in self.reduced_states])
 
 
-def _co_diagonalize(h_s, h_dir):
-    """Joint eigenbasis of two commuting Hermitian matrices."""
-    w, v = np.linalg.eigh(h_s)
-    hd = v.conj().T @ h_dir @ v
-    # re-diagonalize inside (near-)degenerate blocks of H_s
-    start = 0
-    d = len(w)
-    for i in range(1, d + 1):
-        if i == d or w[i] - w[start] > 1e-10:
-            if i - start > 1:
-                _, u = np.linalg.eigh(hd[start:i, start:i])
-                v[:, start:i] = v[:, start:i] @ u
-            start = i
-    hd = v.conj().T @ h_dir @ v
-    return w, np.real(np.diag(hd)), v
-
-
 # Phi maps the even bitstrings (class 0) to the odd ones (1) and back, and
 # every bitstring (class 2) to every bitstring
 _FLIP = np.array([1, 0, 2])
@@ -154,29 +138,25 @@ class _Sector:
     index: np.ndarray
 
 
-class _Sectors:
+class _Sectors(_CouplingFrame):
     """The conserved sectors of H(t) in the joint eigenbasis of H_s and H_dir.
 
     There H(t) is diagonal but for lam Q x Phi, and Phi flips the fermion
-    parity. Q's entries with |Q_ij| <= 1e-14 max(1, ||Q||) count as zero
-    (and are set to 0). A connected component of the graph of Q on the
-    system levels is closed under H(t); a two-colourable one (no self-loop,
-    no odd cycle) splits into two sectors, each with colour(i) xor
-    parity(b) fixed, any other is one sector. So there are at most 2d
-    sectors; a reservoir without modes has one parity and splits nothing.
+    parity. Q's entries count as edges past the frame's zero gate. A
+    connected component of the graph of Q on the system levels is closed
+    under H(t); a two-colourable one (no self-loop, no odd cycle) splits
+    into two sectors, each with colour(i) xor parity(b) fixed, any other is
+    one sector. So there are at most 2d sectors; a reservoir without modes
+    has one parity and splits nothing.
     """
 
     def __init__(self, tm: TotalModel):
         d, n = tm.system.dim, tm.n_modes
         nr = 2**n
-        h_dir = (np.zeros((d, d)) if tm.schedule is None
-                 else tm.schedule.h_dir)
-        self.es, self.edir, self.basis = _co_diagonalize(tm.system.h_s, h_dir)
+        super().__init__(tm.system, np.zeros((d, d)) if tm.schedule is None
+                         else tm.schedule.h_dir)
         self.er, self.probs, self.phi = tm.reservoir()
         self.g = math.sqrt(0.5 * float(tm.modes.couplings @ tm.modes.couplings))
-        q = self.basis.conj().T @ tm.system.q @ self.basis
-        q[np.abs(q) <= 1e-14 * max(1.0, operator_norm(q))] = 0.0
-        self.q = q
         parity = np.zeros(nr, dtype=int)
         for j in range(n):
             parity ^= (np.arange(nr) >> j) & 1
@@ -190,7 +170,7 @@ class _Sectors:
             colour[root] = 0
             component, two_colour = [root], n > 0
             for i in component:     # breadth first; the list grows
-                for j in np.flatnonzero(q[i]):
+                for j in np.flatnonzero(self.q[i]):
                     if colour[j] < 0:
                         colour[j] = 1 - colour[i]
                         component.append(j)
@@ -518,8 +498,7 @@ class DeviationReport:
 
 
 def compare_with_effective(traj: Trajectory, model: SystemModel,
-                           schedule: Optional[ControlSchedule],
-                           coherence_pair=(0, 1)) -> DeviationReport:
+                           schedule: Optional[ControlSchedule]) -> DeviationReport:
     """Per-time trace distance to the reservoir-free reference dynamics."""
     sched = schedule if schedule is not None else ControlSchedule.off(
         period=1.0, dim=model.dim)
@@ -529,7 +508,7 @@ def compare_with_effective(traj: Trajectory, model: SystemModel,
         ref = effective_dynamics(model, sched, rho0, float(t))
         devs.append(trace_distance(rho, ref))
     devs = np.array(devs)
-    m, n = coherence_pair
+    m, n = _COHERENCE
     coh0 = abs(rho0[m, n])
     retention = traj.coherence(m, n) / coh0 if coh0 > 0 else None
     return DeviationReport(times=traj.times, deviations=devs,

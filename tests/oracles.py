@@ -216,12 +216,15 @@ def field_operator(modes):
 
 def total_hamiltonian(tm, t):
     """Dense H(t) = H_s x 1 + sum_j w_j 1 x a_j^* a_j + lam Q x Phi, plus
-    h_c(t) x 1 for a smooth schedule, from the kron-chain operators."""
+    H_c(t) x 1 = (mu / T) kappa(t / T) H_dir x 1 for a smooth schedule,
+    from the kron-chain operators."""
     ops = jordan_wigner_annihilators(tm.modes.n_modes)
     nr = 2**tm.modes.n_modes
     h_s = np.asarray(tm.system.h_s, dtype=complex)
-    if tm.schedule is not None and tm.schedule.kind == "smooth":
-        h_s = h_s + tm.schedule.h_c(t)
+    sched = tm.schedule
+    if sched is not None and sched.kind == "smooth":
+        h_s = h_s + (sched.mu / sched.period) * float(
+            sched.kappa(t / sched.period)) * sched.h_dir
     h_r = sum(w * aj.conj().T @ aj
               for w, aj in zip(tm.modes.frequencies, ops))
     return (np.kron(h_s, np.eye(nr))

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import decoshield.control as control
 from decoshield.control import (DD_TOL, ControlSchedule, SystemModel,
-                                check_dd, effective_dynamics, fourier_modes,
-                                operator_norm, q_of_t, tune_amplitude, vc_at)
+                                check_dd, cosine_profile, effective_dynamics,
+                                fourier_modes, operator_norm, q_of_t,
+                                tune_amplitude, vc_at)
 from decoshield.errors import (ArgumentError, DecouplingViolationError,
                                TuneSearchError)
 
@@ -49,6 +51,20 @@ class TestControlPropagator:
     def test_negative_time_rejected(self):
         with pytest.raises(ArgumentError):
             vc_at(tuned_schedule(), -0.1)
+
+    def test_antiderivative_offset_is_ignored(self):
+        # phi(t) = mu (K(t/T) - K(0)) over the first period: an
+        # antiderivative with K(0) = 5 gives the same control as K(0) = 0
+        kappa, kint = cosine_profile()
+        shifted = ControlSchedule.smooth(0.1, MU_STAR, np.diag([1.0, -1.0]),
+                                         kappa, lambda x: 5 + kint(x))
+        np.testing.assert_allclose(vc_at(shifted, 0.0), np.eye(2), atol=1e-14)
+        for t in (0.03, 0.1, 0.37):
+            np.testing.assert_allclose(vc_at(shifted, t),
+                                       vc_at(tuned_schedule(), t), atol=1e-12)
+        report = check_dd(SystemModel.qubit(), shifted)
+        assert report.passed
+        assert report.periodicity_defect < 1e-12
 
 
 class TestRotatedCoupling:
@@ -131,6 +147,60 @@ class TestCheckDD:
         assert report.residual == pytest.approx(max(windows), abs=1e-9)
 
 
+class TestWindowIntegrals:
+    # H_s and H_dir with several distinct Bohr differences dw in {0, ..., 3}
+    H_DIR = np.diag([1.0, 0.0, -2.0])
+
+    @staticmethod
+    def model():
+        a = np.random.default_rng(5).normal(size=(3, 3, 2)) @ [1.0, 1.0j]
+        return SystemModel(np.diag([1.0, 0.0, -1.0]), a + a.conj().T)
+
+    @pytest.mark.parametrize("profile", ["sinusoid", "one-plus-cosine"])
+    def test_windows_against_entrywise_quadrature(self, profile):
+        import scipy.integrate
+
+        period, mu = 0.3, 2.2
+        if profile == "sinusoid":
+            sched = ControlSchedule.sinusoidal(period, mu, h_dir=self.H_DIR)
+
+            def phi(s):
+                return mu * np.sin(2 * np.pi * s / period) / (2 * np.pi)
+        else:
+            sched = ControlSchedule.smooth(
+                period, mu, self.H_DIR, lambda x: 1 + np.cos(2 * np.pi * x),
+                lambda x: x + np.sin(2 * np.pi * x) / (2 * np.pi))
+
+            def phi(s):
+                x = s / period
+                return mu * (x + np.sin(2 * np.pi * x) / (2 * np.pi))
+        model = self.model()
+        frame = control._CouplingFrame(model, sched.h_dir)
+        windows = frame.back(control._windows(frame, sched))
+        assert windows.shape == (16, 3, 3)
+        h = np.diag(self.H_DIR)
+        norms = []
+        for t0, got in zip(np.linspace(0.0, period, 16, endpoint=False),
+                           windows):
+            expect = np.empty((3, 3), dtype=complex)
+            for m in range(3):
+                for n in range(3):
+                    val, _ = scipy.integrate.quad(
+                        lambda s: np.exp(-1j * phi(s) * (h[m] - h[n])),
+                        t0, t0 + period, epsabs=1e-13, complex_func=True)
+                    expect[m, n] = model.q[m, n] * val / period
+            assert np.abs(got - expect).max() < 1e-9
+            norms.append(operator_norm(expect))
+        if profile == "sinusoid":
+            # Q(t) is periodic: every window is T times the zero mode
+            assert max(norms) - min(norms) < 1e-9
+        else:
+            # Q(t) is not periodic: the window depends on where it starts
+            assert max(norms) - min(norms) > 0.1
+        assert check_dd(model, sched).residual == pytest.approx(max(norms),
+                                                                abs=1e-9)
+
+
 class TestEquivalenceOfFormulations:
     def test_ten_random_schedules(self):
         model = SystemModel.qubit()
@@ -211,10 +281,10 @@ class TestFourierModes:
     def test_no_control_concentrates_in_zero_mode(self):
         model = SystemModel.qubit()
         table = fourier_modes(model, ControlSchedule.off(period=0.2), K=5)
-        np.testing.assert_allclose(table.mode(0), model.q, atol=1e-12)
+        np.testing.assert_allclose(table.modes[0], model.q, atol=1e-12)
         for k in range(1, 6):
-            assert operator_norm(table.mode(k)) < 1e-12
-            assert operator_norm(table.mode(-k)) < 1e-12
+            assert operator_norm(table.modes[k]) < 1e-12
+            assert operator_norm(table.modes[-k]) < 1e-12
 
     def test_sinusoidal_ladder_norms_are_bessel_values(self):
         table = fourier_modes(SystemModel.qubit(), tuned_schedule())
@@ -227,7 +297,7 @@ class TestFourierModes:
         table = fourier_modes(SystemModel.qubit(), tuned_schedule())
         assert table.parseval_defect < 1e-8
         for k in range(1, table.cutoff + 1):
-            assert operator_norm(table.mode(-k) - table.mode(k).conj().T) \
+            assert operator_norm(table.modes[-k] - table.modes[k].conj().T) \
                 < 1e-12
 
     def test_kick_tail_bound_is_parseval_remainder(self):

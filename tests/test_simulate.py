@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from decoshield.control import (ControlSchedule, SystemModel,
+from decoshield.control import (ControlSchedule, SystemModel, fourier_modes,
                                 effective_dynamics, operator_norm)
 import decoshield.simulate as simulate
 from decoshield.errors import ArgumentError, NumericError, ResourceError
@@ -203,6 +203,24 @@ class TestSectors:
             tm = TotalModel(cfg.model, modes, cfg.lam, sched)
             sizes = [len(s.index) for s in simulate._Sectors(tm).sectors]
             assert sizes == [256, 256]
+
+    def test_zero_gate_is_shared_with_the_bohr_split(self, reservoir):
+        # joint-basis entries of 1e-15 (a diagonal one and a corner pair)
+        # would add the Bohr frequencies 0 and +-2 and a self-loop; the
+        # one gate drops them for the Bohr keys and the sectors alike
+        h3 = np.diag([1.0, 0.0, -1.0])
+        path = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex)
+        noise = 1e-15 * np.array([[1, 0, 1], [0, 0, 0], [1, 0, 0]])
+        sched = ControlSchedule.sinusoidal(0.3, MU_STAR, h_dir=h3)
+        keys, sizes = [], []
+        for q in (path, path + noise):
+            system = SystemModel(h3, q)
+            keys.append(sorted(fourier_modes(system, sched, K=2).bohr))
+            tm = TotalModel(system, modeset(reservoir, 3), 0.3, sched)
+            sizes.append([len(s.index) for s in simulate._Sectors(tm).sectors])
+        assert keys[0] == keys[1]
+        assert {w for _, w in keys[0]} == {-1.0, 1.0}
+        assert sizes[0] == sizes[1] == [12, 12]
 
     def test_uncoupled_bath_is_not_split_by_mode(self):
         # Phi = 0 conserves every occupation, but the split stays by parity
