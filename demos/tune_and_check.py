@@ -15,8 +15,9 @@ from decoshield.control import ControlSchedule, SystemModel, check_dd, \
 model = SystemModel.qubit()
 period = 0.1
 
-mu_star = tune_amplitude(model, lambda mu: ControlSchedule.sinusoidal(
-    period, mu), (6.0, 9.0))
+# the search varies only the amplitude: the schedule's own mu is ignored
+mu_star = tune_amplitude(model, ControlSchedule.sinusoidal(period, 1.0),
+                         (6.0, 9.0))
 print(f"tuned amplitude: mu* = {mu_star:.12f}")
 print(f"(pi * first Bessel zero = {np.pi * 2.4048255577:.12f})")
 print()

@@ -17,8 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .control import (ControlSchedule, check_dd, fourier_modes, operator_norm,
-                      tune_amplitude)
+from .control import check_dd, fourier_modes, operator_norm, tune_amplitude
 from .errors import (ArgumentError, ConfigError, DecouplingViolationError,
                      NumericError, ResourceError, TuneSearchError)
 from .experiments import (SWEEP_AXES, ExperimentConfig, Report,
@@ -97,13 +96,7 @@ def _cmd_tune_mu(args, cfg) -> int:
     if cfg.schedule is None or cfg.schedule.kind != "smooth":
         raise ConfigError("schedule.kind",
                           "tune-mu needs a smooth schedule")
-    sched = cfg.schedule
-
-    def factory(mu):
-        return ControlSchedule.smooth(sched.period, mu, sched.h_dir,
-                                      sched.kappa, sched.kappa_integral)
-
-    mu_star = tune_amplitude(cfg.model, factory, args.bracket)
+    mu_star = tune_amplitude(cfg.model, cfg.schedule, args.bracket)
     print(f"mu* = {mu_star:.12g}")
     out = _out_dir(cfg)
     (out / "tuned_mu.json").write_text(

@@ -22,7 +22,7 @@ grid; the residual equals the zero-mode norm whenever phi(T) dw = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -274,10 +274,11 @@ class _CouplingFrame:
         """Matrices (the last two axes) from the frame to the original basis."""
         return np.einsum("ab,...bc,dc->...ad", self.basis, ops, self.basis.conj())
 
-    def bohr(self) -> dict:
-        """w -> mask of the entries of q in Q_w = sum_{e'-e=w} P_e Q P_e', e
-        the row level and e' the column level, a level valued at the lowest
-        of its run; a w within 1e-10 of one met before joins it."""
+    def bohr(self, ks, modes) -> dict:
+        """(k, w) -> the frame-basis mode ``modes[i]`` of k = ks[i] restricted
+        to Q_w = sum_{e'-e=w} P_e Q P_e' and rotated back, e the row level
+        and e' the column level, a level valued at the lowest of its run;
+        a w within 1e-10 of one met before joins it."""
         masks = {}
         for left in self.runs:
             for right in self.runs:
@@ -287,7 +288,9 @@ class _CouplingFrame:
                     w = float(self.es[right[0]]) - float(self.es[left[0]])
                     w = next((u for u in masks if abs(u - w) <= _LEVEL_TOL), w)
                     masks[w] = masks.get(w, False) | block
-        return masks
+        return {(k, w): mode
+                for w, mask in masks.items()
+                for k, mode in zip(ks.tolist(), self.back(modes * mask))}
 
 
 def vc_at(schedule: ControlSchedule, t: float) -> np.ndarray:
@@ -342,10 +345,7 @@ def _bohr_modes(model: SystemModel, schedule: ControlSchedule, ks) -> dict:
     """
     frame = _CouplingFrame(model, schedule.h_dir)
     ks = np.asarray(ks, dtype=int)
-    modes = _modes(frame, schedule, ks)
-    return {(k, w): mode
-            for w, mask in frame.bohr().items()
-            for k, mode in zip(ks.tolist(), frame.back(modes * mask))}
+    return frame.bohr(ks, _modes(frame, schedule, ks))
 
 
 def _windows(frame: _CouplingFrame, schedule: ControlSchedule) -> np.ndarray:
@@ -424,17 +424,24 @@ def check_dd(model: SystemModel, schedule: ControlSchedule,
                     zero_mode_norm=operator_norm(zero_mode), tolerance=tol)
 
 
-def tune_amplitude(model: SystemModel, schedule_factory, bracket) -> float:
-    """Find the amplitude at which the zero Fourier mode of Q vanishes.
+def tune_amplitude(model: SystemModel, schedule: ControlSchedule,
+                   bracket) -> float:
+    """Find the amplitude ``mu`` of a smooth schedule at which the zero
+    Fourier mode of Q vanishes.
 
-    ``schedule_factory`` maps an amplitude to a ControlSchedule. The
-    signed surrogate is the real part of the zero mode's dominant
+    The signed surrogate is the real part of the zero mode's dominant
     coupling entry, normalized to 1 at zero amplitude; a Brent root of
-    the surrogate inside ``bracket`` is returned.
+    the surrogate inside ``bracket`` is returned. The phase is linear in
+    the amplitude, phi = mu P with P the phase at ``mu = 1``, so the frame
+    and the grid of P are built once; the surrogate is Re sum_s r_s mean_x
+    exp(-i mu P(x) ds_s), r_s the frame entries with H_dir level
+    difference ds_s rotated back to entry (i, j) and divided by Q_ij.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not hi > lo:
         raise ArgumentError("bracket must be an increasing interval")
+    if schedule.kind != "smooth":
+        raise ArgumentError("tune_amplitude needs a smooth schedule")
     # reference entry: the largest off-diagonal coupling element
     q = model.q
     off = np.abs(q - np.diag(np.diag(q)))
@@ -442,11 +449,18 @@ def tune_amplitude(model: SystemModel, schedule_factory, bracket) -> float:
     if off[i, j] == 0:
         raise ArgumentError("coupling operator has no off-diagonal part to tune")
 
+    frame = _CouplingFrame(model, schedule.h_dir)
+    r = frame.back(frame.scaled(np.eye(len(frame.ds))))[:, i, j] / q[i, j]
+    nonzero = r != 0
+    r, ds = r[nonzero], frame.ds[nonzero]
+    unit = replace(schedule, mu=1.0).phase(
+        np.linspace(0.0, schedule.period, _GRID, endpoint=False))
+
     def surrogate(mu):
-        sched = schedule_factory(mu)
-        frame = _CouplingFrame(model, sched.h_dir)
-        zm = frame.back(_modes(frame, sched, [0])[0])
-        return float((zm[i, j] / q[i, j]).real)
+        theta = (mu * unit)[:, None] * ds
+        # Re(r_s exp(-i theta)) = Re(r_s) cos(theta) + Im(r_s) sin(theta)
+        return float(np.cos(theta).sum(axis=0) @ r.real
+                     + np.sin(theta).sum(axis=0) @ r.imag) / _GRID
 
     mus = np.linspace(lo, hi, _TUNE_SCAN)
     vals = [surrogate(m) for m in mus]
@@ -488,10 +502,12 @@ def fourier_modes(model: SystemModel, schedule: ControlSchedule,
     (spectrally accurate for periodic integrands) and exactly, segment by
     segment, for kick schedules. With ``K=None`` a smooth table grows
     until three consecutive rings hold less than 1e-12 of mode power and
-    a kick table stops at |k| = 64. The Parseval check compares the mode power with
-    ||Q||_F^2, the time average of ||Q(t)||_F^2 (V_c is unitary); for
-    kicks, whose modes decay like 1/k, the tail bound is that Parseval
-    remainder.
+    a kick table stops at |k| = 64. The mode powers are read in the frame
+    (the Frobenius norm does not depend on the basis), and only the kept
+    modes are rotated back, to the table and its Bohr split alike. The
+    Parseval check compares the mode power with ||Q||_F^2, the time
+    average of ||Q(t)||_F^2 (V_c is unitary); for kicks, whose modes decay
+    like 1/k, the tail bound is that Parseval remainder.
     """
     if K is not None and K < 1:
         raise ArgumentError("K must be >= 1")
@@ -503,25 +519,26 @@ def fourier_modes(model: SystemModel, schedule: ControlSchedule,
         k_max = 2047    # the largest |k| a 4096-point phase grid resolves
     ks = np.arange(-k_max, k_max + 1)
     frame = _CouplingFrame(model, schedule.h_dir)
-    every = dict(zip(ks.tolist(), frame.back(_modes(frame, schedule, ks))))
-
-    modes = {0: every[0]}
-    cutoff = 0
-    recent = []
-    while cutoff < k_max:
-        cutoff += 1
-        modes[cutoff], modes[-cutoff] = every[cutoff], every[-cutoff]
-        recent.append(float(np.sum(np.abs(modes[cutoff]) ** 2)
-                            + np.sum(np.abs(modes[-cutoff]) ** 2)))
-        if K is None and len(recent) >= 3 and sum(recent[-3:]) < 1e-12:
-            break
+    coeffs = _modes(frame, schedule, ks)
+    # ||Q_k||_F^2 from the frame basis (a unitary change of basis); ring c
+    # is ||Q_c||_F^2 + ||Q_-c||_F^2, c = 1..k_max
+    power_k = np.sum(np.abs(coeffs) ** 2, axis=(1, 2))
+    rings = power_k[k_max + 1:] + power_k[k_max - 1::-1]
+    cutoff = k_max
+    if K is None:
+        quiet = np.flatnonzero(rings[:-2] + rings[1:-1] + rings[2:] < 1e-12)
+        if len(quiet):
+            cutoff = int(quiet[0]) + 3
+    kept = slice(k_max - cutoff, k_max + cutoff + 1)
 
     power = float(np.sum(np.abs(model.q) ** 2))
-    mode_power = float(sum(np.sum(np.abs(m) ** 2) for m in modes.values()))
+    mode_power = float(power_k[kept].sum())
     tail_bound = (max(0.0, power - mode_power) if schedule.kind == "bangbang"
-                  else sum(recent[-3:]))
-    bohr = _bohr_modes(model, schedule, np.arange(-cutoff, cutoff + 1))
-    return FourierTable(cutoff=cutoff, modes=modes, bohr=bohr,
+                  else rings[max(0, cutoff - 3):cutoff].sum())
+    ks, coeffs = ks[kept], coeffs[kept]
+    return FourierTable(cutoff=cutoff,
+                        modes=dict(zip(ks.tolist(), frame.back(coeffs))),
+                        bohr=frame.bohr(ks, coeffs),
                         tail_bound=float(tail_bound),
                         parseval_defect=abs(mode_power - power))
 

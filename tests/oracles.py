@@ -11,6 +11,7 @@ import math
 import numpy as np
 import scipy.integrate
 import scipy.linalg
+import scipy.optimize
 
 
 def bessel_j_series(n, x, terms=60):
@@ -275,3 +276,26 @@ def qka_bangbang_closed_form(model, schedule, k, w):
         total += np.exp(-2j * np.pi * alpha * k) * (rotated(after)
                                                     - rotated(before))
     return -1j / (2 * np.pi * k) * total
+
+
+def zero_mode_surrogate(q, h_dir, kappa_integral, mu, points=256):
+    """Re(M[i, j] / Q[i, j]) for M = mean_x expm(-i phi H_dir) Q expm(i phi H_dir),
+    phi(x) = mu (K(x) - K(0)) on a uniform grid of one period (K the
+    profile's antiderivative) and (i, j) the first largest off-diagonal
+    entry of Q; the matrix exponentials are taken directly, one per point."""
+    q = np.asarray(q, dtype=complex)
+    off = np.abs(q - np.diag(np.diag(q)))
+    i, j = np.unravel_index(np.argmax(off), off.shape)
+    x = np.arange(points) / points
+    phi = mu * (np.asarray(kappa_integral(x), float) - float(kappa_integral(0.0)))
+    u = scipy.linalg.expm(-1j * phi[:, None, None] * np.asarray(h_dir, complex))
+    mean = (u @ q @ u.conj().transpose(0, 2, 1)).mean(axis=0)
+    return float((mean[i, j] / q[i, j]).real)
+
+
+def tuned_amplitude(q, h_dir, kappa_integral, lo, hi):
+    """Root of ``zero_mode_surrogate`` in [lo, hi] (a sign change) by Brent's
+    method at the tightest tolerances scipy accepts."""
+    return scipy.optimize.brentq(
+        lambda mu: zero_mode_surrogate(q, h_dir, kappa_integral, mu), lo, hi,
+        xtol=1e-15, rtol=4 * np.finfo(float).eps)

@@ -33,10 +33,6 @@ MU_STAR = 7.554982305222015
 rng = np.random.default_rng(99)
 
 
-def sinusoidal_factory(period):
-    return lambda mu: ControlSchedule.sinusoidal(period, mu)
-
-
 def two_kick(period=1.0, alpha1=0.25):
     return ControlSchedule.bangbang(period, [alpha1, alpha1 + 0.5],
                                     [np.pi / 2, -np.pi / 2])
@@ -66,7 +62,7 @@ def small_scenario(**overrides):
 def test_01_amplitude_tuning_hits_bessel_zero():
     start = time.perf_counter()
     model = SystemModel.qubit()
-    mu = tune_amplitude(model, sinusoidal_factory(0.1), (6.0, 9.0))
+    mu = tune_amplitude(model, ControlSchedule.sinusoidal(0.1, 1.0), (6.0, 9.0))
     elapsed = time.perf_counter() - start
     assert abs(mu - math.pi * 2.4048255577) < 1e-6
     report = check_dd(model, ControlSchedule.sinusoidal(0.1, mu))

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.special
 
 import decoshield.control as control
-from decoshield.control import (DD_TOL, ControlSchedule, SystemModel,
-                                check_dd, cosine_profile, effective_dynamics,
+from decoshield.control import (DD_TOL, SIGMA_X, SIGMA_Y, SIGMA_Z,
+                                ControlSchedule, SystemModel, check_dd,
+                                cosine_profile, effective_dynamics,
                                 fourier_modes, operator_norm, q_of_t,
                                 tune_amplitude, vc_at)
 from decoshield.errors import (ArgumentError, DecouplingViolationError,
@@ -12,7 +14,8 @@ from decoshield.errors import (ArgumentError, DecouplingViolationError,
 from decoshield.reservoir import make_form_factor, spectral_function
 from decoshield.weak_coupling import level_shift
 
-from oracles import bessel_j_series, qka_bangbang_closed_form
+from oracles import (bessel_j_series, qka_bangbang_closed_form,
+                     tuned_amplitude, zero_mode_surrogate)
 
 MU_STAR = 7.554982305222015  # pi * first zero of J_0
 
@@ -255,26 +258,98 @@ class TestSchedulingProperties:
             ControlSchedule.bangbang(1.0, [0.6, 0.3], [1.0, -1.0])
 
 
+SPIN1_X = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]) / np.sqrt(2)
+SPIN1_Z = np.diag([1.0, 0.0, -1.0])
+
+
+def _rotated_spin1():
+    # a generic basis, and a Q with H_dir level differences 1 and 2, so
+    # the reference entry mixes several differences
+    gen = np.random.default_rng(5)
+    u, _ = np.linalg.qr(gen.normal(size=(3, 3)) + 1j * gen.normal(size=(3, 3)))
+    q = SPIN1_X + 0.6 * np.fliplr(np.eye(3)) * (1 - np.eye(3))
+    h = u @ SPIN1_Z @ u.conj().T
+    return h, u @ q @ u.conj().T, h
+
+
+# (H_s, Q, H_dir, kappa, kappa_integral or None, bracket)
+TUNE_CASES = {
+    "complex-coupling qubit": (SIGMA_Z, np.cos(0.7) * SIGMA_X
+                               + np.sin(0.7) * SIGMA_Y, SIGMA_Z,
+                               *cosine_profile(), (6.0, 9.0)),
+    "spin-1": (SPIN1_Z, SPIN1_X, SPIN1_Z, *cosine_profile(), (14.0, 16.5)),
+    "rotated spin-1": (*_rotated_spin1(), *cosine_profile(), (13.0, 16.0)),
+    "numeric antiderivative": (
+        SIGMA_Z, SIGMA_X, SIGMA_Z,
+        lambda x: (np.cos(2 * np.pi * x) + 0.4 * np.sin(4 * np.pi * x)
+                   + 0.3 * np.cos(6 * np.pi * x)), None, (6.0, 9.0)),
+}
+
+
 class TestTuneAmplitude:
-    def factory(self, mu):
-        return ControlSchedule.sinusoidal(0.1, mu)
+    sched = ControlSchedule.sinusoidal(0.1, 1.0)
 
     def test_finds_bessel_zero(self):
-        mu = tune_amplitude(SystemModel.qubit(), self.factory, (6.0, 9.0))
+        mu = tune_amplitude(SystemModel.qubit(), self.sched, (6.0, 9.0))
         assert abs(mu - np.pi * 2.4048255577) < 1e-6
         # independent series check: J_0 vanishes at mu/pi
         assert abs(bessel_j_series(0, mu / np.pi)) < 1e-10
 
+    @pytest.mark.parametrize("period", [0.05, 0.1, 1.2])
+    def test_sinusoid_matches_oracle(self, period):
+        sched = ControlSchedule.sinusoidal(period, 1.0)
+        mu = tune_amplitude(SystemModel.qubit(), sched, (6.0, 9.0))
+        oracle = tuned_amplitude(SIGMA_X, SIGMA_Z, sched.kappa_integral, 6.0, 9.0)
+        assert abs(mu - oracle) <= 1e-12
+        assert abs(mu - np.pi * scipy.special.jn_zeros(0, 1)[0]) <= 1e-12
+
+    @pytest.mark.parametrize("case", list(TUNE_CASES))
+    def test_matches_oracle(self, case):
+        h_s, q, h_dir, kappa, kint, (lo, hi) = TUNE_CASES[case]
+        sched = ControlSchedule.smooth(0.2, 1.0, h_dir, kappa, kint)
+        mu = tune_amplitude(SystemModel(h_s, q), sched, (lo, hi))
+        # the oracle shares only the profile's antiderivative (the definition
+        # of the phase; numeric when none is given), not the frame or the FFT
+        assert abs(mu - tuned_amplitude(q, h_dir, sched.kappa_integral, lo, hi)) \
+            <= 1e-12
+
     def test_no_root_in_bracket(self):
         with pytest.raises(TuneSearchError) as err:
-            tune_amplitude(SystemModel.qubit(), self.factory, (0.1, 1.0))
-        assert len(err.value.scan) > 0
+            tune_amplitude(SystemModel.qubit(), self.sched, (0.1, 1.0))
+        assert len(err.value.scan) == 33
+        for mu, val in err.value.scan:
+            oracle = zero_mode_surrogate(SIGMA_X, SIGMA_Z,
+                                         self.sched.kappa_integral, mu)
+            assert abs(val - oracle) <= 1e-13
 
     def test_idempotent(self):
-        mu1 = tune_amplitude(SystemModel.qubit(), self.factory, (6.0, 9.0))
-        mu2 = tune_amplitude(SystemModel.qubit(), self.factory,
+        mu1 = tune_amplitude(SystemModel.qubit(), self.sched, (6.0, 9.0))
+        mu2 = tune_amplitude(SystemModel.qubit(), self.sched,
                              (mu1 - 0.1, mu1 + 0.1))
         assert abs(mu1 - mu2) < 1e-8
+
+    def test_kick_schedule_rejected(self):
+        with pytest.raises(ArgumentError):
+            tune_amplitude(SystemModel.qubit(), two_kick(), (6.0, 9.0))
+
+    def test_one_frame_and_one_phase_grid_per_search(self, monkeypatch):
+        # the phase is linear in mu: a search must not rebuild the frame
+        # or the phase grid per amplitude
+        counts = {"frame": 0, "phase": 0}
+        frame_init, phase = control._CouplingFrame.__init__, ControlSchedule.phase
+
+        def counting_frame(self, *args):
+            counts["frame"] += 1
+            frame_init(self, *args)
+
+        def counting_phase(self, t):
+            counts["phase"] += 1
+            return phase(self, t)
+
+        monkeypatch.setattr(control._CouplingFrame, "__init__", counting_frame)
+        monkeypatch.setattr(ControlSchedule, "phase", counting_phase)
+        tune_amplitude(SystemModel.qubit(), self.sched, (6.0, 9.0))
+        assert counts == {"frame": 1, "phase": 1}
 
 
 class TestFourierModes:

@@ -322,6 +322,22 @@ class TestCli:
         out = capsys.readouterr().out
         assert abs(float(out.split("=")[1]) - MU_STAR) < 1e-6
 
+    def test_tune_mu_rejects_a_kick_schedule(self, tmp_path, capsys):
+        doc = small_doc(output_dir=str(tmp_path / "o"), schedule={
+            "kind": "bangbang", "period": 0.25, "phases": [0.25, 0.75],
+            "weights": [math.pi / 2, -math.pi / 2]})
+        cfg = self.write_config(tmp_path, doc)
+        assert cli_main(["tune-mu", "--config", cfg]) == 1
+        assert "schedule.kind" in capsys.readouterr().err
+
+    def test_tune_mu_rejects_a_reversed_bracket(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path,
+                                small_doc(output_dir=str(tmp_path / "o")))
+        assert cli_main(["tune-mu", "--config", cfg,
+                         "--bracket", "9", "6"]) == 1
+        assert "bracket" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "tuned_mu.json").exists()
+
     def test_tune_mu_failure_prints_scan(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path,
                                 small_doc(output_dir=str(tmp_path / "o")))
