@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 from .control import (DD_TOL, ControlSchedule, DDReport, FourierTable,
                       SystemModel, check_dd, cosine_profile,
                       effective_dynamics, fourier_modes, operator_norm,
-                      q_of_t, tune_amplitude, vc_at)
+                      tune_amplitude)
 from .errors import (ArgumentError, ConfigError, DecouplingViolationError,
                      NumericError, ResourceError, TuneSearchError)
 from .experiments import (ExperimentConfig, Report, emit_report,

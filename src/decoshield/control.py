@@ -38,8 +38,6 @@ __all__ = [
     "ControlSchedule",
     "DDReport",
     "FourierTable",
-    "vc_at",
-    "q_of_t",
     "check_dd",
     "tune_amplitude",
     "fourier_modes",
@@ -293,22 +291,6 @@ class _CouplingFrame:
                 for k, mode in zip(ks.tolist(), self.back(modes * mask))}
 
 
-def vc_at(schedule: ControlSchedule, t: float) -> np.ndarray:
-    """Control propagator V_c(t) with V' = i H_c(t) V, V(0) = 1."""
-    if t < 0:
-        raise ArgumentError("t must be nonnegative")
-    w, v = np.linalg.eigh(schedule.h_dir)
-    return (v * np.exp(1j * float(schedule.phase(t)) * w)) @ v.conj().T
-
-
-def q_of_t(model: SystemModel, schedule: ControlSchedule, t: float) -> np.ndarray:
-    """Interaction-picture coupling V_c(t)* Q V_c(t)."""
-    if t < 0:
-        raise ArgumentError("t must be nonnegative")
-    frame = _CouplingFrame(model, schedule.h_dir)
-    return frame.back(frame.rotated(float(schedule.phase(t))))
-
-
 def _modes(frame: _CouplingFrame, schedule: ControlSchedule, ks) -> np.ndarray:
     """Fourier modes int_0^1 Q(xT) exp(-2 pi i k x) dx in the frame, k in ks.
 
@@ -544,13 +526,24 @@ def fourier_modes(model: SystemModel, schedule: ControlSchedule,
 
 
 def effective_dynamics(model: SystemModel, schedule: ControlSchedule,
-                       rho0: np.ndarray, t: float) -> np.ndarray:
-    """Reservoir-free reference state e^{-itH_s} V_c(t)* rho0 V_c(t) e^{itH_s}."""
+                       rho0: np.ndarray, t) -> np.ndarray:
+    """Reservoir-free reference state e^{-itH_s} V_c(t)* rho0 V_c(t) e^{itH_s}
+    at each time of ``t``: one state for a scalar, a stack for an array.
+
+    In the joint eigenbasis of H_s and H_dir (``_CouplingFrame``) the
+    propagator e^{-itH_s} V_c(t)* is the diagonal phase
+    exp(-i (t e_s + phi(t) e_dir)), so no matrix is exponentiated.
+    """
     rho0 = np.asarray(rho0, dtype=complex)
     _validate_state(rho0)
-    w, v = np.linalg.eigh(model.h_s)
-    u = (v * np.exp(-1j * t * w)) @ v.conj().T @ vc_at(schedule, t).conj().T
-    return u @ rho0 @ u.conj().T
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ArgumentError("t must be nonnegative")
+    frame = _CouplingFrame(model, schedule.h_dir)
+    u = np.exp(-1j * (t[..., None] * frame.es
+                      + np.asarray(schedule.phase(t))[..., None] * frame.edir))
+    rho = frame.basis.conj().T @ rho0 @ frame.basis
+    return frame.back(u[..., :, None] * rho * u[..., None, :].conj())
 
 
 def _validate_state(rho, tol=1e-10):

@@ -30,8 +30,7 @@ from .errors import ArgumentError, ConfigError, DecouplingViolationError
 from .reservoir import (FormFactor, discretize_modes, form_factor_registry,
                         make_form_factor, spectral_function)
 from .simulate import (DIMENSION_GUARD, DeviationReport, TotalModel,
-                       Trajectory, compare_with_effective, evolve,
-                       shared_static_eigh)
+                       Trajectory, evolve_pair)
 from .weak_coupling import RateSummary, decoherence_time, level_shift
 
 __all__ = [
@@ -323,17 +322,10 @@ def _compute_rates(cfg: ExperimentConfig) -> RateSummary:
 def _simulate_pair(cfg: ExperimentConfig):
     """DD-off, then DD-on trajectories with their deviation reports."""
     modes = discretize_modes(cfg.form_factor, cfg.n_modes, cfg.p_max)
-    results = {}
-    runs = [("on", cfg.schedule)] if cfg.schedule is not None else []
-    with shared_static_eigh(cfg.schedule):
-        for label, sched in [("off", None)] + runs:
-            tm = TotalModel(system=cfg.model, modes=modes, lam=cfg.lam,
-                            schedule=sched)
-            traj = evolve(tm, cfg.initial_state, cfg.horizon, cfg.sample_dt,
-                          substeps_per_period=cfg.substeps_per_period)
-            results[label] = (traj,
-                              compare_with_effective(traj, cfg.model, sched))
-    return results
+    return evolve_pair(TotalModel(system=cfg.model, modes=modes, lam=cfg.lam,
+                                  schedule=cfg.schedule),
+                       cfg.initial_state, cfg.horizon, cfg.sample_dt,
+                       substeps_per_period=cfg.substeps_per_period)
 
 
 def _run_point(cfg: ExperimentConfig):

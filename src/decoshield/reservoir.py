@@ -99,7 +99,10 @@ class SpectralFunction:
 
     def __call__(self, p):
         p = np.asarray(p, dtype=float)[()]
-        g = abs(glue_form_factor(self.ff, p))
+        a = abs(p)
+        # |g| of glue_form_factor, taken on real arrays
+        g = np.abs(a * np.sqrt(scipy.special.expit(self.ff.beta * p))
+                   * self.ff.f(a))
         out = SPHERE_WEIGHT * p * p * g * g * scipy.special.expit(self.ff.beta * p)
         return float(out) if np.ndim(out) == 0 else out
 

@@ -16,7 +16,8 @@ V_c(t)* = exp(-i phi(t) H_dir), so a kick of weight c multiplies it by
 the diagonal phase exp(-i c H_dir). The complex Schur form of U_T gives
 every power U_T^n = W lambda^n W^dagger (Floquet form); the uncontrolled
 baseline is sampled the same way in the eigenbasis of the static
-Hamiltonian.
+Hamiltonian. ``evolve_pair`` runs the baseline and the drive on one
+frame, and a kick train's walk reuses the baseline's static eigenbasis.
 
 Everything runs one conserved sector at a time. In the joint basis H(t)
 is diagonal but for lam Q x Phi, and Phi flips the fermion parity. So
@@ -36,7 +37,6 @@ from it with the sample's phases.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -56,6 +56,7 @@ __all__ = [
     "Trajectory",
     "DeviationReport",
     "evolve",
+    "evolve_pair",
     "compare_with_effective",
     "trace_distance",
 ]
@@ -183,29 +184,25 @@ class _Sectors(_CouplingFrame):
                 index = np.concatenate([k * nr + self.rows[p]
                                         for k, p in zip(levels, cls)])
                 self.sectors.append(_Sector(levels, cls, index))
-        # slots[a][c]: the sector holding level a's bitstrings of parity c
-        # and their positions in it
-        self.slots = [[None, None] for _ in range(d)]
+        # each joint state's sector and its position in the sector's index
+        self.label = np.empty(d * nr, dtype=int)
+        self.position = np.empty(d * nr, dtype=int)
         for k, sector in enumerate(self.sectors):
-            width = len(sector.index) // len(sector.levels)
-            for j, (a, p) in enumerate(zip(sector.levels, sector.parity)):
-                for c in (0, 1):
-                    if p == 2:
-                        self.slots[a][c] = (k, j * width + self.rows[c])
-                    elif p == c:
-                        self.slots[a][c] = (k, j * width + np.arange(width))
+            self.label[sector.index] = k
+            self.position[sector.index] = np.arange(len(sector.index))
 
     def overlaps(self, a, b):
         """The sector pairs (k, l) where Y_a^T conj(Y_b) can be nonzero for
         a block-diagonal Y, with the positions of level a's rows in sector
-        k and of level b's rows in sector l, bitstring by bitstring."""
-        pairs = {}
-        for (k, rows_a), (l, rows_b) in zip(self.slots[a], self.slots[b]):
-            left, right = pairs.setdefault((k, l), ([], []))
-            left.append(rows_a)
-            right.append(rows_b)
-        return [(k, l, np.concatenate(left), np.concatenate(right))
-                for (k, l), (left, right) in pairs.items()]
+        k and of level b's rows in sector l, bitstring by bitstring; pairs
+        in the order of their lowest bitstring."""
+        nr, n = len(self.er), len(self.sectors)
+        rows_a, rows_b = a * nr + np.arange(nr), b * nr + np.arange(nr)
+        pairs = self.label[rows_a] * n + self.label[rows_b]
+        keys, first = np.unique(pairs, return_index=True)
+        return [(key // n, key % n, self.position[rows_a[pairs == key]],
+                 self.position[rows_b[pairs == key]])
+                for key in keys[np.argsort(first)].tolist()]
 
     def field(self, p):
         """Phi / g (Phi at g = 0) from the bitstrings of class p to flip(p)."""
@@ -275,22 +272,6 @@ class _SplitStepper:
         return out
 
 
-_static_memo = None   # H(0) inputs -> per-sector eigh inside shared_static_eigh
-
-
-@contextlib.contextmanager
-def shared_static_eigh(schedule):
-    """Hand an undriven run's eigh of H(0) to a later run of ``schedule``
-    on the same H(0) and joint basis inside the block; only a kick train
-    uses it."""
-    global _static_memo
-    _static_memo = {} if getattr(schedule, "kind", None) == "bangbang" else None
-    try:
-        yield
-    finally:
-        _static_memo = None
-
-
 def _static_hamiltonian(tm, frame, sector):
     """H(0) = H_s + H_R + lam Q Phi on one sector, in the joint basis
     (kicks add no term)."""
@@ -306,24 +287,19 @@ def _static_hamiltonian(tm, frame, sector):
 
 def _static_eigh(tm, frame):
     """Per sector, the eigenpairs of H(0) in the joint basis."""
-    key = (tm.lam,) + tuple(a.tobytes() for a in (
-        tm.system.h_s, tm.system.q, frame.basis, tm.modes.frequencies,
-        tm.modes.couplings))
-    memo = {} if _static_memo is None else _static_memo
-    if key in memo:
-        return memo.pop(key)
-    memo[key] = pairs = [np.linalg.eigh(_static_hamiltonian(tm, frame, s))
-                         for s in frame.sectors]
-    return pairs
+    return [np.linalg.eigh(_static_hamiltonian(tm, frame, s))
+            for s in frame.sectors]
 
 
-def _period_walk(tm, frame, offsets, substeps):
+def _period_walk(tm, frame, offsets, substeps, static):
     """Per sector, U(r, 0) for each offset r in (0, T), and the monodromy
     U(T, 0), in the joint eigenbasis of H_s and H_dir.
 
     One walk per sector over the kick times, the offsets and T: between
     events a smooth drive takes Strang steps (segment-wise, so each offset
-    is a step boundary), a kick schedule the exact static propagator. A
+    is a step boundary), a kick schedule the exact static propagator from
+    ``static``, the list of ``_static_eigh``, which the walk empties when
+    it ends, so the eigenpairs are released as soon as it is done. A
     kick of weight c multiplies by the diagonal phase exp(-i c e_dir), so
     on both kinds the state receives V_c(t)* = exp(-i phi(t) H_dir); an
     offset within 1e-9 T of a kick time sees the kick, as
@@ -334,7 +310,6 @@ def _period_walk(tm, frame, offsets, substeps):
     kicks = {}
     if sched.kind == "bangbang":
         kicks = dict(zip(sched.kick_phases * T, sched.kick_weights))
-        static = _static_eigh(tm, frame)
     marks = {T: [T]}   # event time -> offsets sampled there; T: monodromy
     for r in set(float(r) for r in offsets if 0.0 < r < T):
         at = next((tk for tk in kicks if abs(r - tk) <= 1e-9 * T), r)
@@ -364,7 +339,23 @@ def _period_walk(tm, frame, offsets, substeps):
             for r in marks.get(t_next, ()):
                 props[r].append(u.reshape(n, n))
             t = t_next
+    if sched.kind == "bangbang":
+        static.clear()
     return props, props.pop(T)
+
+
+def _driven(schedule) -> bool:
+    return schedule is not None and not (schedule.kind == "smooth"
+                                         and schedule.mu == 0.0)
+
+
+def _sample_times(rho_s0, t_final, sample_dt):
+    rho_s0 = np.asarray(rho_s0, dtype=complex)
+    _validate_state(rho_s0)
+    if not sample_dt > 0 or t_final < 0:
+        raise ArgumentError("need t_final >= 0 and sample_dt > 0")
+    times = np.round(np.arange(0.0, t_final + 0.5 * sample_dt, sample_dt), 12)
+    return rho_s0, times
 
 
 def evolve(tm: TotalModel, rho_s0, t_final: float, sample_dt: float,
@@ -387,17 +378,46 @@ def evolve(tm: TotalModel, rho_s0, t_final: float, sample_dt: float,
     that hold levels a and b on common bitstrings, each contracted with
     the phases of all of r's samples in one product.
     """
-    rho_s0 = np.asarray(rho_s0, dtype=complex)
-    _validate_state(rho_s0)
-    if not sample_dt > 0 or t_final < 0:
-        raise ArgumentError("need t_final >= 0 and sample_dt > 0")
+    rho_s0, times = _sample_times(rho_s0, t_final, sample_dt)
+    frame, driven = _Sectors(tm), _driven(tm.schedule)
+    static = (_static_eigh(tm, frame)
+              if not driven or tm.schedule.kind == "bangbang" else None)
+    return _run(tm, frame, rho_s0, times, substeps_per_period, static, driven)
+
+
+def evolve_pair(tm: TotalModel, rho_s0, t_final: float, sample_dt: float,
+                substeps_per_period: int = 1024) -> dict:
+    """The undriven run of ``tm`` and, when it has a schedule, the driven
+    one, as {"off": (Trajectory, DeviationReport), "on": (...)}, each
+    compared with the reference dynamics of its own schedule.
+
+    Both arms run on one frame, the sectors of ``tm`` in the joint
+    eigenbasis of H_s and H_dir, and sample as ``evolve`` does. The
+    undriven arm diagonalizes H(0) once per sector; a kick train's walk
+    takes those eigenpairs over and releases them, and a smooth drive
+    releases them before its walk.
+    """
+    rho_s0, times = _sample_times(rho_s0, t_final, sample_dt)
+    frame = _Sectors(tm)
+    static = _static_eigh(tm, frame)
+    runs = {}
+    arms = [("on", tm.schedule)] if tm.schedule is not None else []
+    for label, sched in [("off", None)] + arms:
+        if _driven(sched) and sched.kind != "bangbang":
+            static = None     # Strang steps do not use the static eigh
+        traj = _run(tm, frame, rho_s0, times, substeps_per_period, static,
+                    _driven(sched))
+        runs[label] = (traj, compare_with_effective(traj, tm.system, sched))
+    return runs
+
+
+def _run(tm, frame, rho_s0, times, substeps, static, driven):
+    """One run on ``frame`` (``evolve`` has the formulas): an undriven one
+    from ``static``, the per-sector eigenpairs of H(0), a driven one from
+    the Schur forms of the sector monodromies (a kick train's walk empties
+    ``static``)."""
     d, nr = tm.system.dim, 2**tm.n_modes
     dim = d * nr
-
-    times = np.round(np.arange(0.0, t_final + 0.5 * sample_dt, sample_dt), 12)
-    driven = tm.schedule is not None and not (
-        tm.schedule.kind == "smooth" and tm.schedule.mu == 0.0)
-    frame = _Sectors(tm)
 
     if driven:
         T = tm.schedule.period
@@ -406,8 +426,7 @@ def evolve(tm: TotalModel, rho_s0, t_final: float, sample_dt: float,
         wrapped = np.abs(offsets - T) < 1e-9
         periods[wrapped] += 1
         offsets[wrapped] = 0.0
-        frags, monodromies = _period_walk(tm, frame, offsets,
-                                          substeps_per_period)
+        frags, monodromies = _period_walk(tm, frame, offsets, substeps, static)
         eps_k, blocks, off_diagonal = [], [], 0.0
         for u_t in monodromies:
             schur, z = scipy.linalg.schur(u_t, output="complex")
@@ -422,7 +441,7 @@ def evolve(tm: TotalModel, rho_s0, t_final: float, sample_dt: float,
                                diagnostics={"off_diagonal": off_diagonal})
         shifts = periods * T
     else:
-        eps_k, blocks = zip(*_static_eigh(tm, frame))
+        eps_k, blocks = zip(*static)
         shifts, offsets, frags = times, np.zeros_like(times), {}
     index = [sector.index for sector in frame.sectors]
     w = np.zeros((dim, dim), dtype=complex)
@@ -503,11 +522,9 @@ def compare_with_effective(traj: Trajectory, model: SystemModel,
     sched = schedule if schedule is not None else ControlSchedule.off(
         period=1.0, dim=model.dim)
     rho0 = traj.initial_state
-    devs = []
-    for t, rho in zip(traj.times, traj.reduced_states):
-        ref = effective_dynamics(model, sched, rho0, float(t))
-        devs.append(trace_distance(rho, ref))
-    devs = np.array(devs)
+    refs = effective_dynamics(model, sched, rho0, traj.times)
+    devs = np.array([trace_distance(rho, ref)
+                     for rho, ref in zip(traj.reduced_states, refs)])
     m, n = _COHERENCE
     coh0 = abs(rho0[m, n])
     retention = traj.coherence(m, n) / coh0 if coh0 > 0 else None

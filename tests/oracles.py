@@ -278,6 +278,20 @@ def qka_bangbang_closed_form(model, schedule, k, w):
     return -1j / (2 * np.pi * k) * total
 
 
+def rotated_coupling(q, h_dir, phi):
+    """V_c* Q V_c at control phase phi, V_c = expm(i phi H_dir)."""
+    v = scipy.linalg.expm(1j * phi * np.asarray(h_dir, dtype=complex))
+    return v.conj().T @ np.asarray(q, dtype=complex) @ v
+
+
+def reference_state(h_s, h_dir, rho0, t, phi):
+    """e^{-itH_s} V_c* rho0 V_c e^{itH_s} at time t and control phase phi,
+    V_c = expm(i phi H_dir), from two matrix exponentials."""
+    u = (scipy.linalg.expm(-1j * t * np.asarray(h_s, dtype=complex))
+         @ scipy.linalg.expm(-1j * phi * np.asarray(h_dir, dtype=complex)))
+    return u @ np.asarray(rho0, dtype=complex) @ u.conj().T
+
+
 def zero_mode_surrogate(q, h_dir, kappa_integral, mu, points=256):
     """Re(M[i, j] / Q[i, j]) for M = mean_x expm(-i phi H_dir) Q expm(i phi H_dir),
     phi(x) = mu (K(x) - K(0)) on a uniform grid of one period (K the

@@ -6,8 +6,7 @@ import decoshield.control as control
 from decoshield.control import (DD_TOL, SIGMA_X, SIGMA_Y, SIGMA_Z,
                                 ControlSchedule, SystemModel, check_dd,
                                 cosine_profile, effective_dynamics,
-                                fourier_modes, operator_norm, q_of_t,
-                                tune_amplitude, vc_at)
+                                fourier_modes, operator_norm, tune_amplitude)
 from decoshield.errors import (ArgumentError, DecouplingViolationError,
                                TuneSearchError)
 
@@ -15,7 +14,8 @@ from decoshield.reservoir import make_form_factor, spectral_function
 from decoshield.weak_coupling import level_shift
 
 from oracles import (bessel_j_series, qka_bangbang_closed_form,
-                     tuned_amplitude, zero_mode_surrogate)
+                     reference_state, rotated_coupling, tuned_amplitude,
+                     zero_mode_surrogate)
 
 MU_STAR = 7.554982305222015  # pi * first zero of J_0
 
@@ -32,28 +32,47 @@ def two_kick(period=1.0, alpha1=0.25):
                                     [np.pi / 2, -np.pi / 2])
 
 
+MIXED = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+
+
+def sinusoid_phase(mu, period, t):
+    return mu * np.sin(2 * np.pi * np.asarray(t) / period) / (2 * np.pi)
+
+
 class TestControlPropagator:
+    # V_c(t)* as the reference dynamics applies it, against expm
     def test_no_control_is_identity(self):
-        off = ControlSchedule.off(period=0.3)
-        for t in (0.0, 0.17, 2.5):
-            np.testing.assert_allclose(vc_at(off, t), np.eye(2), atol=1e-14)
+        model, off = SystemModel.qubit(), ControlSchedule.off(period=0.3)
+        ts = np.array([0.0, 0.17, 2.5])
+        for t, state in zip(ts, effective_dynamics(model, off, MIXED, ts)):
+            np.testing.assert_allclose(
+                state, reference_state(model.h_s, off.h_dir, MIXED, t, 0.0),
+                atol=1e-12)
 
     def test_sinusoidal_closed_form(self):
-        sched = ControlSchedule.sinusoidal(0.4, 2.3)
-        for t in rng.uniform(0, 2, size=8):
-            phi = 2.3 * np.sin(2 * np.pi * t / 0.4) / (2 * np.pi)
-            expect = np.diag([np.exp(1j * phi), np.exp(-1j * phi)])
-            np.testing.assert_allclose(vc_at(sched, t), expect, atol=1e-12)
+        model, sched = SystemModel.qubit(), ControlSchedule.sinusoidal(0.4, 2.3)
+        ts = rng.uniform(0, 2, size=8)
+        phis = sinusoid_phase(2.3, 0.4, ts)
+        for t, phi, state in zip(ts, phis,
+                                 effective_dynamics(model, sched, MIXED, ts)):
+            np.testing.assert_allclose(
+                state, reference_state(model.h_s, SIGMA_Z, MIXED, t, phi),
+                atol=1e-12)
 
     def test_unitarity(self):
-        sched = tuned_schedule()
-        for t in rng.uniform(0, 5, size=20):
-            v = vc_at(sched, float(t))
-            assert operator_norm(v.conj().T @ v - np.eye(2)) < 1e-10
+        # a unitary propagator keeps the state Hermitian with its spectrum
+        spectrum = np.linalg.eigvalsh(MIXED)
+        for state in effective_dynamics(SystemModel.qubit(), tuned_schedule(),
+                                        MIXED, rng.uniform(0, 5, size=20)):
+            assert operator_norm(state - state.conj().T) < 1e-12
+            np.testing.assert_allclose(np.linalg.eigvalsh(state), spectrum,
+                                       atol=1e-12)
 
     def test_negative_time_rejected(self):
-        with pytest.raises(ArgumentError):
-            vc_at(tuned_schedule(), -0.1)
+        for t in (-0.1, np.array([0.0, 0.3, -0.1])):
+            with pytest.raises(ArgumentError):
+                effective_dynamics(SystemModel.qubit(), tuned_schedule(),
+                                   MIXED, t)
 
     def test_antiderivative_offset_is_ignored(self):
         # phi(t) = mu (K(t/T) - K(0)) over the first period: an
@@ -61,36 +80,53 @@ class TestControlPropagator:
         kappa, kint = cosine_profile()
         shifted = ControlSchedule.smooth(0.1, MU_STAR, np.diag([1.0, -1.0]),
                                          kappa, lambda x: 5 + kint(x))
-        np.testing.assert_allclose(vc_at(shifted, 0.0), np.eye(2), atol=1e-14)
-        for t in (0.03, 0.1, 0.37):
-            np.testing.assert_allclose(vc_at(shifted, t),
-                                       vc_at(tuned_schedule(), t), atol=1e-12)
+        model, ts = SystemModel.qubit(), np.array([0.0, 0.03, 0.1, 0.37])
+        states = effective_dynamics(model, shifted, MIXED, ts)
+        np.testing.assert_allclose(states[0], MIXED, atol=1e-14)
+        np.testing.assert_allclose(
+            states, effective_dynamics(model, tuned_schedule(), MIXED, ts),
+            atol=1e-12)
         report = check_dd(SystemModel.qubit(), shifted)
         assert report.passed
         assert report.periodicity_defect < 1e-12
 
 
+def rotated_back(model, schedule, t):
+    """The frame's rotated coupling at time t, in the original basis."""
+    frame = control._CouplingFrame(model, schedule.h_dir)
+    return frame.back(frame.rotated(float(schedule.phase(t))))
+
+
 class TestRotatedCoupling:
     def test_initial_value(self):
         model = SystemModel.qubit()
-        np.testing.assert_allclose(q_of_t(model, tuned_schedule(), 0.0),
+        np.testing.assert_allclose(rotated_back(model, tuned_schedule(), 0.0),
                                    model.q, atol=1e-14)
 
     def test_offdiagonal_phases(self):
         model = SystemModel.qubit()
         sched = ControlSchedule.sinusoidal(0.5, 1.7)
         for t in rng.uniform(0, 1, size=6):
-            qt = q_of_t(model, sched, float(t))
+            qt = rotated_back(model, sched, float(t))
+            phi = sinusoid_phase(1.7, 0.5, t)
+            np.testing.assert_allclose(
+                qt, rotated_coupling(model.q, SIGMA_Z, phi), atol=1e-12)
             phase = np.exp(-1j * (1.7 / np.pi) * np.sin(2 * np.pi * t / 0.5))
             assert qt[0, 1] == pytest.approx(phase, abs=1e-12)
             assert qt[0, 0] == pytest.approx(0.0, abs=1e-13)
 
     def test_norm_invariance(self):
-        model = SystemModel.qubit()
-        sched = tuned_schedule()
+        # a complex coupling on the rotated qubit, where the frame is not
+        # the computational basis
+        model = SystemModel(SIGMA_X, SIGMA_Z + 0.4 * SIGMA_Y)
+        sched = ControlSchedule.sinusoidal(0.1, MU_STAR, h_dir=SIGMA_X)
         for t in rng.uniform(0, 3, size=10):
-            assert operator_norm(q_of_t(model, sched, float(t))) == \
-                pytest.approx(operator_norm(model.q), abs=1e-12)
+            qt = rotated_back(model, sched, float(t))
+            phi = sinusoid_phase(MU_STAR, 0.1, t)
+            np.testing.assert_allclose(
+                qt, rotated_coupling(model.q, SIGMA_X, phi), atol=1e-12)
+            assert operator_norm(qt) == pytest.approx(operator_norm(model.q),
+                                                      abs=1e-12)
 
 
 class TestCheckDD:
@@ -484,3 +520,47 @@ class TestEffectiveDynamics:
         with pytest.raises(ArgumentError):
             effective_dynamics(SystemModel.qubit(), tuned_schedule(),
                                np.array([[1.0, 0.0], [0.0, 1.0]]), 1.0)
+
+    @pytest.mark.parametrize("case", ["sinusoid", "offset", "kicks",
+                                      "degenerate-spin1"])
+    def test_times_array_matches_per_time_calls_and_oracle(self, case):
+        # one call on an array of times against one call per time and the
+        # expm oracle; the kick samples sit 0.5e-9 T before a kick of
+        # weight 0.3 and must see it
+        kappa, kint = cosine_profile()
+        model, h_dir, rho0 = SystemModel.qubit(), SIGMA_Z, MIXED
+        ts = np.linspace(0.0, 1.3, 14)
+        if case == "sinusoid":
+            sched = ControlSchedule.sinusoidal(0.4, 2.3)
+            phis = sinusoid_phase(2.3, 0.4, ts)
+        elif case == "offset":
+            sched = ControlSchedule.smooth(0.4, 2.3, SIGMA_Z, kappa,
+                                           lambda x: 5 + kint(x))
+            phis = sinusoid_phase(2.3, 0.4, ts)
+        elif case == "kicks":
+            sched = ControlSchedule.bangbang(0.4, [0.25, 0.75], [0.3, -0.3])
+            kicks = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
+            ts = np.sort(np.r_[ts, kicks - 0.5e-9 * 0.4])
+            # kicks at (n + 1/4) T add 0.3, at (n + 3/4) T take it away
+            x = ts / 0.4 + 1e-9
+            phis = np.where(x - np.floor(x) >= 0.25, 0.3, 0.0)
+            phis[x - np.floor(x) >= 0.75] = 0.0
+        else:
+            # H_s = S_z^2 is degenerate, so the frame re-diagonalizes S_z
+            h_dir = np.diag([1.0, 0.0, -1.0])
+            model = SystemModel(np.diag([1.0, 0.0, 1.0]),
+                                [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+            a = np.eye(3) + 0.3 * np.exp(1j * np.add.outer(np.arange(3),
+                                                           2 * np.arange(3)))
+            rho0 = a @ a.conj().T / np.trace(a @ a.conj().T).real
+            sched = ControlSchedule.sinusoidal(0.4, 2.3, h_dir=h_dir)
+            phis = sinusoid_phase(2.3, 0.4, ts)
+        states = effective_dynamics(model, sched, rho0, ts)
+        assert states.shape == (len(ts),) + rho0.shape
+        for t, phi, state in zip(ts, phis, states):
+            np.testing.assert_allclose(
+                state, effective_dynamics(model, sched, rho0, float(t)),
+                rtol=0, atol=1e-15)
+            np.testing.assert_allclose(
+                state, reference_state(model.h_s, h_dir, rho0, t, phi),
+                atol=1e-12)

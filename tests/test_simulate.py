@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from decoshield.errors import ArgumentError, NumericError, ResourceError
 from decoshield.experiments import ExperimentConfig
 from decoshield.reservoir import discretize_modes, make_form_factor
 from decoshield.simulate import (TotalModel, compare_with_effective, evolve,
-                                 trace_distance)
+                                 evolve_pair, trace_distance)
 
 from oracles import (field_operator, jordan_wigner_annihilators,
                      ordered_propagator, partial_trace,
@@ -455,6 +456,88 @@ class TestEvolve:
         tm = TotalModel(SystemModel.qubit(), modeset(ff, 2), 0.0, None)
         with pytest.raises(ArgumentError):
             evolve(tm, plus_state(), 1.0, 0.0)
+
+
+def spin1_degenerate():
+    """S_x coupling with H_s = S_z^2: S_z, the drive direction, splits the
+    degenerate level, so the joint basis is not the eigenbasis of H_s."""
+    h_dir = np.diag([1.0, 0.0, -1.0])
+    a = np.eye(3) + 0.3 * np.exp(1j * np.add.outer(np.arange(3),
+                                                   2 * np.arange(3)))
+    return (SystemModel(np.diag([1.0, 0.0, 1.0]), SPIN1_SX), h_dir,
+            a @ a.conj().T / np.trace(a @ a.conj().T).real)
+
+
+def reduced(traj):
+    return np.array(traj.reduced_states)
+
+
+class TestEvolvePair:
+    def test_arms_match_standalone_runs(self, reservoir):
+        # the off arm runs in the driven arm's frame; on the qubit that is
+        # the undriven frame, on the degenerate spin-1 it is not
+        modes = modeset(reservoir, 3)
+        spin1, h_dir, rho3 = spin1_degenerate()
+        cases = [
+            (SystemModel.qubit(), ControlSchedule.bangbang(
+                0.5, [0.25, 0.75], [np.pi / 2, -np.pi / 2]),
+             np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]), 0.0),
+            (spin1, ControlSchedule.bangbang(0.5, [0.25, 0.75], [0.3, -0.3],
+                                             h_dir=h_dir), rho3, 1e-12),
+        ]
+        for system, sched, rho_s0, tol in cases:
+            tm = TotalModel(system, modes, 0.3, sched)
+            undriven = replace(tm, schedule=None)
+            differs = not np.array_equal(simulate._Sectors(tm).basis,
+                                         simulate._Sectors(undriven).basis)
+            assert differs == (tol > 0)
+            runs = evolve_pair(tm, rho_s0, 5.0, 0.5)
+            off = reduced(runs["off"][0])
+            alone = reduced(evolve(undriven, rho_s0, 5.0, 0.5))
+            assert np.abs(off - alone).max() <= tol
+            assert np.array_equal(reduced(runs["on"][0]),
+                                  reduced(evolve(tm, rho_s0, 5.0, 0.5)))
+
+    def test_smooth_pair_diagonalizes_the_static_hamiltonian_once(
+            self, reservoir, monkeypatch):
+        sched = ControlSchedule.sinusoidal(0.25, MU_STAR)
+        tm = TotalModel(SystemModel.qubit(), modeset(reservoir, 3), 0.3, sched)
+        eigh = np.linalg.eigh
+        sizes = []
+
+        def counting(a, *args, **kwargs):
+            sizes.append(np.shape(a)[0])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        runs = evolve_pair(tm, plus_state(), 1.0, 0.25, substeps_per_period=64)
+        assert set(runs) == {"off", "on"}
+        # one eigh per parity sector; the others are system-sized
+        assert [n for n in sizes if n > 2] == [8, 8]
+
+    def test_runs_leave_no_state_behind(self, reservoir):
+        # a kicked pair, a smooth pair and a standalone kicked run, then
+        # each again in the reverse order: every state bit for bit the same
+        modes = modeset(reservoir, 3)
+        kicked = TotalModel(SystemModel.qubit(), modes, 0.3,
+                            ControlSchedule.bangbang(0.5, [0.25, 0.75],
+                                                     [np.pi / 2, -np.pi / 2]))
+        smooth = replace(kicked, schedule=ControlSchedule.sinusoidal(
+            0.5, MU_STAR))
+        runs = [
+            lambda: [t for t, _ in evolve_pair(kicked, plus_state(), 3.0,
+                                               0.5).values()],
+            lambda: [t for t, _ in evolve_pair(smooth, plus_state(), 3.0, 0.5,
+                                               substeps_per_period=64)
+                     .values()],
+            lambda: [evolve(kicked, plus_state(), 3.0, 0.5)],
+        ]
+        first = [[reduced(t) for t in run()] for run in runs]
+        again = [[reduced(t) for t in run()] for run in reversed(runs)][::-1]
+        for a, b in zip(first, again):
+            assert len(a) == len(b)
+            for x, y in zip(a, b):
+                assert np.array_equal(x, y)
 
 
 class TestComparison:
